@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -91,13 +90,7 @@ DOMAIN revenue <= QUANTILE(0.05)`, mcdbr.TailSampleOptions{TotalSamples: 300})
 		log.Fatal(err)
 	}
 	fmt.Println("per-category 5% revenue-at-risk:")
-	cats := make([]string, 0, len(res.GroupTails))
-	for c := range res.GroupTails {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	for _, c := range cats {
-		tr := res.GroupTails[c]
-		fmt.Printf("  %-12s VaR $%.0f, shortfall $%.0f\n", c, tr.QuantileEstimate, tr.ExpectedShortfall)
+	for _, g := range res.GroupedTail.Groups {
+		fmt.Printf("  %-12s VaR $%.0f, shortfall $%.0f\n", g.KeyString(), g.Tail.QuantileEstimate, g.Tail.ExpectedShortfall)
 	}
 }

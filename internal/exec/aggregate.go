@@ -130,10 +130,11 @@ func (s AggSpec) Contribution(compiled *expr.Compiled, row types.Row, sign float
 // Aggregate is the plan-root physical operator of an aggregation query.
 // Open passes its child's Gibbs-tuple stream through unchanged (aggregate
 // values vary per DB version, so they cannot be materialized as tuples);
-// consumers — gibbs.MonteCarloGrouped for single-pass grouped Monte
-// Carlo, the Gibbs looper for tail sampling — are the true sinks: they
-// drain the stream once and evaluate the aggregates per version through
-// OpenEval. Aggregate never appears below another operator.
+// consumers — gibbs.MonteCarloGroupedParallel for single-pass grouped
+// Monte Carlo (through OpenEval and EvalWindow), the Gibbs looper for
+// tail sampling — are the true sinks: they drain the stream once and
+// evaluate the aggregates per version. Aggregate never appears below
+// another operator.
 type Aggregate struct {
 	Child Node
 	// GroupBy are the grouping expressions; they must evaluate over
@@ -284,35 +285,33 @@ type aggGroup struct {
 	rand []*bundle.Tuple
 	// outRow is the group's HAVING scratch row (group columns followed by
 	// aggregate columns), allocated once with the key prefix prefilled so
-	// the per-version loop only overwrites the aggregate slots — keeping
-	// EvalVersion at 0 allocs/version. Nil without a HAVING clause.
+	// the per-version HAVING check only overwrites the aggregate slots —
+	// keeping a repeat EvalWindow call at 0 allocs. Nil without a HAVING
+	// clause.
 	outRow types.Row
 }
 
 // AggEval is the single-pass grouped-aggregation evaluator over one plan
-// run's tuple stream. Build it once per run with OpenEval; EvalVersion then
-// produces the vector of aggregate values for every group for one DB
-// version in a single sweep over the (partitioned) tuples. Scratch rows
-// and per-group state are allocated once, in contiguous backing arrays,
-// and reused across versions — the evaluator adds no per-version
-// allocation to the Monte Carlo hot path.
+// run's tuple stream. Build it once per run with OpenEval; EvalWindow then
+// produces the vector of aggregate values for every group and every DB
+// version of a replicate window in one sweep over the (partitioned)
+// tuples. Scratch rows, lanes and per-group state are allocated once and
+// reused across calls — the evaluator adds no per-version allocation to
+// the Monte Carlo hot path.
 type AggEval struct {
 	agg      *Aggregate
 	final    *expr.Compiled
 	aggExprs []*expr.Compiled
 	having   *expr.Compiled
 	groups   []aggGroup
-	buf      types.Row  // tuple evaluation scratch
-	states   []AggState // per-version scratch, reset per group
+	buf      types.Row // interpreter-lane row scratch
 
 	// Window-major evaluation (DESIGN.md §13): the child schema kernels
 	// are lowered against, whether the run's workspace allows kernels, and
-	// the lazily built per-run kernel/scratch state. winBad latches a
-	// failed kernel lowering so EvalWindow doesn't retry it per call.
+	// the lazily built per-run kernel/lane state.
 	childSchema *types.Schema
 	kernelsOn   bool
 	win         *winEval
-	winBad      bool
 }
 
 // groupKeySlots collects the schema slots the grouping expressions read;
@@ -447,7 +446,6 @@ func (a *Aggregate) OpenEval(ws *Workspace, final expr.Expr) (*AggEval, error) {
 			ev.groups[g].outRow = row
 		}
 	}
-	ev.states = make([]AggState, len(a.Aggs))
 	return ev, nil
 }
 
@@ -558,103 +556,74 @@ func (ev *AggEval) NumGroups() int { return len(ev.groups) }
 // Key returns group g's key values (empty for ungrouped queries).
 func (ev *AggEval) Key(g int) types.Row { return ev.groups[g].key }
 
-// EvalVersion computes the aggregate vector of every group for one DB
-// version in a single pass: out[g][a] is aggregate a of group g.
-// include[g] reports the HAVING outcome per group (always true without a
-// HAVING clause); pass nil when the query has none. Both buffers must be
-// pre-sized ([NumGroups][len(Aggs)] and [NumGroups]).
-func (ev *AggEval) EvalVersion(b bundle.Binding, out [][]float64, include []bool) error {
-	for g := range ev.groups {
-		grp := &ev.groups[g]
-		copy(ev.states, grp.base)
-		for _, tu := range grp.rand {
-			row, present, err := tu.Eval(b, ev.buf)
-			if err != nil {
-				return err
-			}
-			if !present {
-				continue
-			}
-			if err := ev.contribute(row, ev.states); err != nil {
-				return err
-			}
-		}
-		for a, spec := range ev.agg.Aggs {
-			out[g][a] = ev.states[a].Value(spec.Kind)
-		}
-		if include != nil {
-			ok := true
-			if ev.having != nil {
-				nk := len(ev.agg.GroupBy)
-				for a := range ev.agg.Aggs {
-					grp.outRow[nk+a] = types.NewFloat(out[g][a])
-				}
-				ok = ev.having.EvalBool(grp.outRow)
-			}
-			include[g] = ok
-		}
-	}
-	return nil
-}
-
 // winEval is the window-major evaluator's per-run state (DESIGN.md §13):
-// one kernel per aggregate expression plus one for the final predicate,
-// and the version-indexed scratch lanes they accumulate into. All slices
-// are grown once and reused across groups and tuples.
+// the version-indexed lanes every random tuple accumulates into, the
+// per-call seed layout verdicts, and — when every expression lowers — one
+// kernel per aggregate expression plus one for the final predicate. All
+// slices are grown once and reused across groups, tuples and calls.
 type winEval struct {
 	aggKerns  []*expr.Kernel // per aggregate; nil for COUNT(*)
 	finalKern *expr.Kernel   // nil when there is no final predicate
-	present   []bool         // per version: presence ∧ final predicate
-	fmask     []bool         // final-predicate kernel output
-	val       []float64      // aggregate-input kernel output
-	vnull     []bool
-	sums      [][]float64 // per aggregate × version running state
-	counts    [][]int64
+	kernels   bool           // the kernels above exist and may run
+	seedOK    map[uint64]bool
+	present   []bool      // per version: presence ∧ final predicate
+	fmask     []bool      // final-predicate kernel output
+	vals      [][]float64 // per aggregate × version: kernel input values
+	vnulls    [][]bool
+	// states[v*len(Aggs)+a] is aggregate a's running state in version v.
+	states []AggState
 }
 
-func (we *winEval) ensure(n int) {
-	if len(we.present) < n {
-		we.present = make([]bool, n)
-		we.fmask = make([]bool, n)
-		we.val = make([]float64, n)
-		we.vnull = make([]bool, n)
-		for a := range we.sums {
-			we.sums[a] = make([]float64, n)
-			we.counts[a] = make([]int64, n)
-		}
+// newWinEval builds the lanes and, when the workspace allows kernels,
+// lowers the aggregate-input expressions and the final predicate. Any
+// expression that does not lower (or has a static string result, which
+// EvalNumeric refuses so the interpreter's error surfaces) leaves the
+// kernels off and every tuple on the interpreter lanes.
+func (ev *AggEval) newWinEval() *winEval {
+	we := &winEval{}
+	if !ev.kernelsOn {
+		return we
 	}
-}
-
-// buildWinEval lowers the aggregate-input expressions and the final
-// predicate into kernels. False means some expression cannot be lowered
-// (or has a static string result, which EvalNumeric refuses so the
-// interpreter's error surfaces) and window-major evaluation is off for
-// this run.
-func (ev *AggEval) buildWinEval() bool {
-	we := &winEval{
-		aggKerns: make([]*expr.Kernel, len(ev.agg.Aggs)),
-		sums:     make([][]float64, len(ev.agg.Aggs)),
-		counts:   make([][]int64, len(ev.agg.Aggs)),
-	}
+	we.aggKerns = make([]*expr.Kernel, len(ev.agg.Aggs))
 	for i, spec := range ev.agg.Aggs {
 		if spec.Expr == nil {
 			continue
 		}
 		k, err := expr.CompileKernel(spec.Expr, ev.childSchema)
 		if err != nil || k.Kind() == types.KindString {
-			return false
+			return we
 		}
 		we.aggKerns[i] = k
 	}
 	if ev.final != nil {
 		k, err := ev.final.Kernel(ev.childSchema)
 		if err != nil {
-			return false
+			return we
 		}
 		we.finalKern = k
 	}
-	ev.win = we
-	return true
+	we.kernels = true
+	we.seedOK = map[uint64]bool{}
+	we.vals = make([][]float64, len(we.aggKerns))
+	we.vnulls = make([][]bool, len(we.aggKerns))
+	return we
+}
+
+// ensure grows the lanes to n versions of nA aggregates; the kernel
+// lanes exist only when the kernels do.
+func (we *winEval) ensure(n, nA int) {
+	if len(we.states) >= n*nA {
+		return
+	}
+	we.states = make([]AggState, n*nA)
+	if we.kernels {
+		we.present = make([]bool, n)
+		we.fmask = make([]bool, n)
+		for a := range we.vals {
+			we.vals[a] = make([]float64, n)
+			we.vnulls[a] = make([]bool, n)
+		}
+	}
 }
 
 // windowIdentity reports whether a seed's first n version assignments are
@@ -676,141 +645,210 @@ func windowIdentity(ws *Workspace, id uint64, n int) bool {
 	return base >= w.Lo && base+uint64(n) <= w.End()
 }
 
+// identityLayout reports whether every seed a tuple reads is in identity
+// layout and every presence vector covers its seed's n versions in its
+// contiguous bits — the precondition of the kernel lanes. Seed verdicts
+// are memoized per call.
+func (we *winEval) identityLayout(ws *Workspace, tu *bundle.Tuple, n int) bool {
+	check := func(id uint64) bool {
+		ok, seen := we.seedOK[id]
+		if !seen {
+			ok = windowIdentity(ws, id, n)
+			we.seedOK[id] = ok
+		}
+		return ok
+	}
+	for _, r := range tu.Rand {
+		if !check(r.SeedID) {
+			return false
+		}
+	}
+	for _, p := range tu.Pres {
+		if !check(p.SeedID) {
+			return false
+		}
+		base := ws.Seeds.MustGet(p.SeedID).Assign[0]
+		if base < p.Lo || base+uint64(n) > p.Lo+uint64(len(p.Bits)) {
+			return false
+		}
+	}
+	return true
+}
+
 // EvalWindow computes out[g][a][v] for all n versions in a single
 // window-major pass: per random tuple, the aggregate-input and
 // final-predicate kernels run across the tuple's whole replicate window
 // at once (the versions live contiguously in the seed window arena), and
-// results accumulate into per-version running sums. Per (group,
-// aggregate, version) the additions happen in exactly the order
-// EvalVersion performs them — deterministic base first, then random
-// tuples in plan order — so the results are bit-for-bit identical.
+// results accumulate into per-version running states. A tuple whose
+// inputs cannot go through a kernel — kernels disabled or not lowerable,
+// a string-typed aggregate input, a gathered value contradicting a
+// kernel's static kind, or a seed outside the contiguous identity layout
+// — fills its version lanes with the row interpreter instead, within the
+// same pass. Per (group, aggregate, version) the additions happen in the
+// order a version-at-a-time loop performs them — deterministic base
+// first, then random tuples in plan order — so results are bit-for-bit
+// identical to it.
 //
-// ok=false means window-major evaluation does not apply to this run —
-// HAVING needs per-version inclusion (version-major only), kernels are
-// disabled, an expression cannot be lowered, or some seed's assignment /
-// window / presence coverage is not the contiguous identity layout (e.g.
-// n exceeds the materialized window, or a replenishing run left sparse
-// positions). out may then be part-written; the caller must run the
-// version-major path, which overwrites every slot and raises
-// ErrNotMaterialized/replenishes exactly as before.
-func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64) (bool, error) {
-	if ev.having != nil || !ev.kernelsOn || ev.winBad || n < 1 {
-		return false, nil
+// include, when given and the query has HAVING, must be [NumGroups][n]:
+// include[g][v] receives whether group g satisfied HAVING in version v.
+//
+// ok is always true: no input declines the window pass any more (the
+// result remains for callers written against the earlier fallback
+// contract). Errors are the interpreter's — e.g. ErrNotMaterialized for a
+// version outside the materialized window, or a non-numeric aggregate
+// input — or the run's cancellation.
+func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include ...[][]bool) (bool, error) {
+	if n < 1 {
+		return true, nil
 	}
-	// Every referenced seed must be in identity layout, and every presence
-	// vector must cover its seed's n versions in its contiguous bits.
-	seedOK := map[uint64]bool{}
-	check := func(id uint64) bool {
-		ok, seen := seedOK[id]
-		if !seen {
-			ok = windowIdentity(ws, id, n)
-			seedOK[id] = ok
-		}
-		return ok
-	}
-	for g := range ev.groups {
-		for _, tu := range ev.groups[g].rand {
-			for _, r := range tu.Rand {
-				if !check(r.SeedID) {
-					return false, nil
-				}
-			}
-			for _, p := range tu.Pres {
-				if !check(p.SeedID) {
-					return false, nil
-				}
-				base := ws.Seeds.MustGet(p.SeedID).Assign[0]
-				if base < p.Lo || base+uint64(n) > p.Lo+uint64(len(p.Bits)) {
-					return false, nil
-				}
-			}
-		}
-	}
-	if ev.win == nil && !ev.buildWinEval() {
-		ev.winBad = true
-		return false, nil
+	if ev.win == nil {
+		ev.win = ev.newWinEval()
 	}
 	we := ev.win
-	we.ensure(n)
+	nA := len(ev.agg.Aggs)
+	we.ensure(n, nA)
+	clear(we.seedOK)
+	var inc [][]bool
+	if len(include) > 0 && ev.having != nil {
+		inc = include[0]
+	}
+	states := we.states[:n*nA]
+	//mcdbr:hotpath
 	for g := range ev.groups {
 		grp := &ev.groups[g]
-		for a := range ev.agg.Aggs {
-			sums, counts, b := we.sums[a], we.counts[a], grp.base[a]
-			for v := 0; v < n; v++ {
-				sums[v] = b.Sum
-				counts[v] = b.Count
-			}
+		for v := 0; v < n; v++ {
+			copy(states[v*nA:], grp.base)
 		}
 		for _, tu := range grp.rand {
 			if err := ws.Cancelled(); err != nil {
 				return false, err
 			}
-			present := we.present[:n]
-			for v := range present {
-				present[v] = true
+			ok, err := ev.kernelLanes(ws, tu, n)
+			if err == nil && !ok {
+				err = ev.interpLanes(ws, tu, n)
 			}
-			for _, p := range tu.Pres {
-				off := int(ws.Seeds.MustGet(p.SeedID).Assign[0] - p.Lo)
-				for v, bit := range p.Bits[off : off+n] {
-					if !bit {
-						present[v] = false
-					}
-				}
-			}
-			// The interpreter surfaces a malformed VG-output reference as an
-			// error for any version where the tuple passes its presence
-			// checks (Tuple.Eval checks Pres before filling Rand); mirror
-			// that before evaluating anything.
-			for _, r := range tu.Rand {
-				s := ws.Seeds.MustGet(r.SeedID)
-				rows := s.Window.Vals[s.Assign[0]-s.Window.Lo:]
-				for v := 0; v < n; v++ {
-					if present[v] && r.Out >= len(rows[v]) {
-						return false, fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, len(rows[v]))
-					}
-				}
-			}
-			if we.finalKern != nil {
-				if !we.gather(ws, tu, we.finalKern, n) {
-					return false, nil
-				}
-				we.finalKern.EvalMask(we.fmask)
-				for v := 0; v < n; v++ {
-					if !we.fmask[v] {
-						present[v] = false
-					}
-				}
-			}
-			for a, spec := range ev.agg.Aggs {
-				sums, counts := we.sums[a], we.counts[a]
-				if spec.Kind == AggCount {
-					for v := 0; v < n; v++ {
-						if present[v] {
-							counts[v]++
-						}
-					}
-					continue
-				}
-				k := we.aggKerns[a]
-				if !we.gather(ws, tu, k, n) || !k.EvalNumeric(we.val, we.vnull) {
-					return false, nil
-				}
-				for v := 0; v < n; v++ {
-					if present[v] && !we.vnull[v] {
-						sums[v] += we.val[v]
-						counts[v]++
-					}
-				}
+			if err != nil {
+				return false, err
 			}
 		}
 		for a, spec := range ev.agg.Aggs {
-			dst, sums, counts := out[g][a], we.sums[a], we.counts[a]
+			dst := out[g][a]
 			for v := 0; v < n; v++ {
-				dst[v] = AggState{Sum: sums[v], Count: counts[v]}.Value(spec.Kind)
+				dst[v] = states[v*nA+a].Value(spec.Kind)
+			}
+		}
+		if inc != nil {
+			nk := len(ev.agg.GroupBy)
+			for v := 0; v < n; v++ {
+				for a := range ev.agg.Aggs {
+					grp.outRow[nk+a] = types.NewFloat(out[g][a][v])
+				}
+				inc[g][v] = ev.having.EvalBool(grp.outRow)
 			}
 		}
 	}
 	return true, nil
+}
+
+// kernelLanes folds one tuple's n versions into the running states
+// through the kernels: present receives presence ∧ final predicate,
+// vals/vnulls the aggregate inputs, and only once every kernel has run
+// do the lanes accumulate. False means nothing was folded and the tuple
+// must take the interpreter lanes instead.
+func (ev *AggEval) kernelLanes(ws *Workspace, tu *bundle.Tuple, n int) (bool, error) {
+	we := ev.win
+	if !we.kernels || !we.identityLayout(ws, tu, n) {
+		return false, nil
+	}
+	present := we.present[:n]
+	for v := range present {
+		present[v] = true
+	}
+	for _, p := range tu.Pres {
+		off := int(ws.Seeds.MustGet(p.SeedID).Assign[0] - p.Lo)
+		for v, bit := range p.Bits[off : off+n] {
+			if !bit {
+				present[v] = false
+			}
+		}
+	}
+	// The interpreter surfaces a malformed VG-output reference as an error
+	// at the first version where the tuple passes its presence checks
+	// (Tuple.Eval checks Pres before filling Rand, in Rand order); mirror
+	// that before evaluating anything.
+	badV, badLen := n, 0
+	var bad bundle.RandRef
+	for _, r := range tu.Rand {
+		s := ws.Seeds.MustGet(r.SeedID)
+		off := s.Assign[0] - s.Window.Lo
+		for v, row := range s.Window.Vals[off : off+uint64(badV)] {
+			if present[v] && r.Out >= len(row) {
+				badV, badLen, bad = v, len(row), r
+				break
+			}
+		}
+	}
+	if badV < n {
+		return false, fmt.Errorf("bundle: seed %d output %d of %d", bad.SeedID, bad.Out, badLen)
+	}
+	if we.finalKern != nil {
+		if !we.gather(ws, tu, we.finalKern, n) {
+			return false, nil
+		}
+		we.finalKern.EvalMask(we.fmask)
+		for v, ok := range we.fmask[:n] {
+			if !ok {
+				present[v] = false
+			}
+		}
+	}
+	for a, k := range we.aggKerns {
+		if k != nil && (!we.gather(ws, tu, k, n) || !k.EvalNumeric(we.vals[a], we.vnulls[a])) {
+			return false, nil
+		}
+	}
+	nA := len(ev.agg.Aggs)
+	for a, spec := range ev.agg.Aggs {
+		if spec.Kind == AggCount {
+			for v, p := range present {
+				if p {
+					we.states[v*nA+a].Count++
+				}
+			}
+			continue
+		}
+		val, null := we.vals[a], we.vnulls[a]
+		for v, p := range present {
+			if p && !null[v] {
+				st := &we.states[v*nA+a]
+				st.Sum += val[v]
+				st.Count++
+			}
+		}
+	}
+	return true, nil
+}
+
+// interpLanes folds one tuple's n versions into the running states with
+// the row interpreter: version v binds the tuple at each seed's v-th
+// assignment, so any seed layout works, and contributions fold exactly as
+// a version-at-a-time loop folds them.
+func (ev *AggEval) interpLanes(ws *Workspace, tu *bundle.Tuple, n int) error {
+	nA := len(ev.agg.Aggs)
+	states := ev.win.states
+	for v := 0; v < n; v++ {
+		row, present, err := tu.Eval(bundle.Bind(ws.Seeds, v), ev.buf)
+		if err != nil {
+			return err
+		}
+		if !present {
+			continue
+		}
+		if err := ev.contribute(row, states[v*nA:(v+1)*nA]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // gather loads one tuple's inputs into a kernel's column lanes: version v
@@ -818,8 +856,9 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64) (bool, er
 // by its seed's window row at position Assign[0]+v. Deterministic slots
 // broadcast once; a random slot with a version whose VG output row is too
 // short is skipped (such versions are always masked absent — gather runs
-// after the bounds check above). False means a gathered value contradicts
-// the kernel's static types and the caller must fall back.
+// after the bounds check in kernelLanes). False means a gathered value
+// contradicts the kernel's static types and the tuple must take the
+// interpreter lanes.
 func (we *winEval) gather(ws *Workspace, tu *bundle.Tuple, k *expr.Kernel, n int) bool {
 	k.Begin(n)
 	for _, col := range k.Cols() {
@@ -841,7 +880,7 @@ func (we *winEval) gather(ws *Workspace, tu *bundle.Tuple, k *expr.Kernel, n int
 		off := s.Assign[0] - s.Window.Lo
 		for v, row := range s.Window.Vals[off : off+uint64(n)] {
 			if r.Out >= len(row) {
-				continue // masked absent by the caller's bounds check
+				continue // masked absent by kernelLanes' bounds check
 			}
 			if !col.Set(v, row[r.Out]) {
 				return false

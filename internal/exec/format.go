@@ -57,8 +57,8 @@ func kernelCompiles(e expr.Expr, schema *types.Schema) bool {
 // vectorized reports whether the operator takes a kernel path at runtime
 // (DESIGN.md §13): Select when its predicate lowers, HashJoin always
 // (probe hashes are computed batch-at-a-time), Aggregate when it has no
-// HAVING (which stays version-major) and every aggregate input lowers to
-// a numeric kernel.
+// HAVING (whose per-version predicate over the output row is interpreted)
+// and every aggregate input lowers to a numeric kernel.
 func vectorized(n Node) bool {
 	switch op := n.(type) {
 	case *Select:

@@ -1,38 +1,17 @@
 // Replicate-sharded parallel execution. MCDB-R represents random tables by
 // pseudorandom TS-seeds, and element i of a seed's stream is a pure
 // function of (seed, i) — so any Monte Carlo replicate can be regenerated
-// independently, on any worker, in any order. This file exploits that: the
-// N replicates are split into contiguous per-worker windows, each worker
-// gets a private Workspace over the shared read-only Catalog whose
-// Instantiate window covers exactly its shard, and shard results are merged
-// back in replicate order. Because stream values, seed allocation order,
+// independently, on any worker, in any order. This file holds the shard
+// layout: the N replicates are split into contiguous per-worker windows,
+// and each worker gets a private Workspace over the shared read-only
+// Catalog whose Instantiate window covers exactly its shard. The Monte
+// Carlo driver (gibbs.MonteCarloGroupedParallel) merges shard results back
+// in replicate order. Because stream values, seed allocation order,
 // and per-replicate evaluation order are all independent of the shard
 // layout, the merged output is bit-for-bit identical to sequential
 // execution for every worker count.
 
 package exec
-
-import (
-	"fmt"
-	"sync"
-)
-
-// Shard is one contiguous window of Monte Carlo replicates assigned to a
-// worker, together with the worker's private Workspace. The workspace
-// shares the prototype's Catalog and Master stream but has its own seed
-// store and materialization cache, and its Instantiate window covers
-// exactly the stream positions [Lo, Hi).
-type Shard struct {
-	// Index numbers the shard (0-based, in replicate order).
-	Index int
-	// Lo and Hi bound the shard's replicate window [Lo, Hi).
-	Lo, Hi int
-	// WS is the worker-private workspace.
-	WS *Workspace
-}
-
-// Len returns the number of replicates in the shard.
-func (s Shard) Len() int { return s.Hi - s.Lo }
 
 // Shards partitions n replicates into at most workers contiguous,
 // near-equal windows. Every replicate belongs to exactly one window and
@@ -78,60 +57,4 @@ func ShardWorkspace(proto *Workspace, lo, hi int) *Workspace {
 	ws.DisableKernels = proto.DisableKernels
 	ws.adoptGauge(proto.Gauge)
 	return ws
-}
-
-// RunSharded executes fn once per shard, concurrently, and merges the
-// per-shard results in replicate order into a single slice of n values.
-// fn receives a Shard whose private workspace is primed for the shard's
-// replicate window and must return exactly Shard.Len() values — result i
-// of the returned slice is replicate Lo+i. The prototype workspace is
-// never run; it only donates its catalog and master stream.
-//
-// The first error from any shard is returned and the merged result
-// discarded. Workers never share mutable state, so fn needs no locking as
-// long as it confines itself to the shard's workspace.
-func RunSharded(proto *Workspace, n, workers int, fn func(Shard) ([]float64, error)) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("exec: RunSharded needs n >= 1 replicates, got %d", n)
-	}
-	windows := Shards(n, workers)
-	out := make([]float64, n)
-	errs := make([]error, len(windows))
-	var wg sync.WaitGroup
-	//mcdbr:hotpath
-	for i, w := range windows {
-		sh := Shard{Index: i, Lo: w[0], Hi: w[1], WS: ShardWorkspace(proto, w[0], w[1])}
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			// A panic on a worker goroutine would kill the whole process
-			// regardless of recovery installed by the caller; contain it
-			// here so one bad query surfaces as an error instead.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("exec: shard %d panicked: %v", sh.Index, r)
-				}
-			}()
-			if err := sh.WS.Cancelled(); err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := fn(sh)
-			if err == nil && len(res) != sh.Len() {
-				err = fmt.Errorf("exec: shard %d returned %d results for %d replicates", sh.Index, len(res), sh.Len())
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			copy(out[sh.Lo:sh.Hi], res)
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

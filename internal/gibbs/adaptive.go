@@ -123,10 +123,10 @@ type AdaptiveResult struct {
 // MonteCarloGroupedAdaptive runs grouped Monte Carlo in geometrically
 // growing rounds, stopping once every (group, aggregate) pair's relative
 // CI half-width meets rule.TargetRelError or rule.MaxSamples replicates
-// have run. Each round's replicate window [lo, hi) is replicate-sharded
-// across up to workers goroutines exactly like MonteCarloGroupedParallel,
-// so the accumulated sample is bit-identical to MonteCarloGrouped(m) for
-// every worker count and round schedule. progress, when non-nil, is
+// have run. Each round's replicate window [lo, hi) runs through the same
+// sharded window driver as MonteCarloGroupedParallel, so the accumulated
+// sample is bit-identical to MonteCarloGroupedParallel(m) for every
+// worker count and round schedule. progress, when non-nil, is
 // invoked after every round with the cumulative state (from the driver's
 // goroutine; it must not retain the CIs slices across calls).
 //
@@ -243,49 +243,4 @@ func foldRound(wel [][]stats.Welford, cis [][]CISnapshot, part *GroupedRuns, rul
 		}
 	}
 	return all
-}
-
-// monteCarloGroupedWindow evaluates the replicate window [lo, hi) of the
-// prototype workspace's run, replicate-sharded across up to workers
-// goroutines. It is MonteCarloGroupedParallel generalized to a nonzero
-// base: each shard's workspace covers a sub-window [lo+a, lo+b), so the
-// merged output is replicates lo..hi-1 of the sequential run.
-func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, lo, hi, workers int) (*GroupedRuns, error) {
-	if hi <= lo {
-		return nil, fmt.Errorf("gibbs: empty replicate window [%d, %d)", lo, hi)
-	}
-	windows := exec.Shards(hi-lo, workers)
-	if len(windows) == 1 {
-		sub := exec.ShardWorkspace(ws, lo, hi)
-		return MonteCarloGrouped(sub, agg, final, hi-lo)
-	}
-	parts := make([]*GroupedRuns, len(windows))
-	errs := make([]error, len(windows))
-	done := make(chan int, len(windows))
-	//mcdbr:hotpath
-	for i, w := range windows {
-		sub := exec.ShardWorkspace(ws, lo+w[0], lo+w[1])
-		go func(i, n int, sub *exec.Workspace) {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("gibbs: adaptive shard %d panicked: %v", i, r)
-				}
-				done <- i
-			}()
-			if err := sub.Cancelled(); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i], errs[i] = MonteCarloGrouped(sub, agg, final, n)
-		}(i, w[1]-w[0], sub)
-	}
-	for range windows {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergeGroupedRuns(parts)
 }

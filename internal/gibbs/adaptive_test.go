@@ -27,7 +27,7 @@ func adaptiveSetup(t testing.TB, seed uint64, window int, variance float64, grou
 }
 
 // TestAdaptiveBitIdentity: stopping the round driver after m replicates
-// must be bit-identical to a fixed MonteCarloGrouped(m) run — at every
+// must be bit-identical to a fixed MonteCarloGroupedParallel(m) run — at every
 // worker count, grouped and ungrouped.
 func TestAdaptiveBitIdentity(t *testing.T) {
 	rule := StopRule{TargetRelError: 0.02, Confidence: 0.95, MaxSamples: 4096, FirstRound: 32}
@@ -42,7 +42,7 @@ func TestAdaptiveBitIdentity(t *testing.T) {
 		}
 		m := res.SamplesUsed
 		wsF, aggF := adaptiveSetup(t, 99, 64, 1, grouped)
-		fixed, err := MonteCarloGrouped(wsF, aggF, nil, m)
+		fixed, err := MonteCarloGroupedParallel(wsF, aggF, nil, m, 1)
 		if err != nil {
 			t.Fatalf("grouped=%v: fixed: %v", grouped, err)
 		}
@@ -168,7 +168,7 @@ func TestAdaptiveDegradeOnDeadline(t *testing.T) {
 		t.Fatalf("SamplesUsed = %d, want the two completed rounds (96)", res.SamplesUsed)
 	}
 	wsF, aggF := adaptiveSetup(t, 11, 64, 1, true)
-	fixed, err := MonteCarloGrouped(wsF, aggF, nil, 96)
+	fixed, err := MonteCarloGroupedParallel(wsF, aggF, nil, 96, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,9 @@ func TestAdaptiveDegradeOnDeadline(t *testing.T) {
 	}
 }
 
-// TestCancelledWorkspacePropagates: plain sharded paths also honor the
-// workspace context.
+// TestCancelledWorkspacePropagates: the fixed-N driver, an adaptive
+// round's window through the shared window driver, and the looper all
+// honor the workspace context.
 func TestCancelledWorkspacePropagates(t *testing.T) {
 	ws, agg := adaptiveSetup(t, 3, 64, 1, false)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -221,11 +222,10 @@ func TestCancelledWorkspacePropagates(t *testing.T) {
 	if _, err := MonteCarloGroupedParallel(ws, agg, nil, 64, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("grouped parallel err = %v, want context.Canceled", err)
 	}
-	ws2, _ := adaptiveSetup(t, 3, 64, 1, false)
-	plan2 := lossPlan(t, ws2, 1)
+	ws2, agg2 := adaptiveSetup(t, 3, 64, 1, false)
 	ws2.Ctx = ctx
-	if _, err := MonteCarloParallel(ws2, plan2, sumQuery(), 64, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel err = %v, want context.Canceled", err)
+	if _, err := monteCarloGroupedWindow(ws2, agg2, nil, 32, 96, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("window driver err = %v, want context.Canceled", err)
 	}
 	ws3, _ := adaptiveSetup(t, 3, 64, 1, false)
 	plan3 := lossPlan(t, ws3, 1)

@@ -33,7 +33,7 @@ import (
 type Query struct {
 	// Agg is the single aggregate the looper maintains incrementally.
 	// Tail sampling conditions on one aggregate; multi-aggregate select
-	// lists are a plain-Monte-Carlo feature (see MonteCarloGrouped).
+	// lists are a plain-Monte-Carlo feature (see MonteCarloGroupedParallel).
 	Agg exec.AggSpec
 	// FinalPred is the final selection predicate applied to each tuple
 	// before inclusion in the aggregate — the place where predicates

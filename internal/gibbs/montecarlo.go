@@ -1,62 +1,13 @@
 package gibbs
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/bundle"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/types"
 )
-
-// MonteCarlo evaluates the query result for n independent Monte Carlo
-// repetitions — the behaviour of the original MCDB system, where the i-th
-// value of every stream is assigned to the i-th repetition. It runs the
-// plan once over tuple bundles regardless of n and returns the n query
-// results. The naive baseline engine and the E1/E3 benchmarks build on it.
-func MonteCarlo(ws *exec.Workspace, plan exec.Node, q Query, n int) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
-	}
-	// Tail direction is irrelevant when returning the whole sample.
-	q.LowerTail = false
-	lp := &looper{ws: ws, plan: plan, q: q, cfg: Config{N: n, M: 1, P: 0.5, L: n, K: 1, MaxTriesPerUpdate: 1}}
-	if err := lp.init(); err != nil {
-		return nil, err
-	}
-	if err := lp.recomputeStates(n); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for v, st := range lp.states {
-		out[v] = st.Value(q.Agg.Kind)
-	}
-	return out, nil
-}
-
-// MonteCarloParallel is MonteCarlo with the n repetitions replicate-sharded
-// across up to workers goroutines. Each worker receives a private workspace
-// over the shared catalog, re-runs the plan (allocating the same TS-seeds
-// with the same SplitMix64-derived substreams, since seed allocation is a
-// pure function of the deterministic pipeline and the master stream),
-// materializes only its shard's stream positions, and evaluates its
-// replicate window; shard outputs are merged in replicate order. Because
-// stream element i is a pure function of (seed, i), the result is
-// bit-for-bit identical to MonteCarlo for every worker count. workers <= 1
-// selects the sequential path on ws itself.
-func MonteCarloParallel(ws *exec.Workspace, plan exec.Node, q Query, n, workers int) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
-	}
-	if workers <= 1 || n < 2 {
-		return MonteCarlo(ws, plan, q, n)
-	}
-	return exec.RunSharded(ws, n, workers, func(sh exec.Shard) ([]float64, error) {
-		return MonteCarlo(sh.WS, plan, q, sh.Len())
-	})
-}
 
 // GroupedRuns is the output of single-pass grouped Monte Carlo: one
 // sample vector per (group, aggregate) pair, with groups in ascending
@@ -73,22 +24,83 @@ type GroupedRuns struct {
 	Include [][]bool
 }
 
-// MonteCarloGrouped evaluates a grouped (and/or multi-aggregate) query
-// for n Monte Carlo repetitions in a single pass: the plan below agg runs
-// once, its tuples are partitioned by their deterministic group key once,
-// and each repetition produces the whole per-group aggregate vector in
-// one sweep — replacing the pre-ISSUE-5 outer loop that re-ran the entire
-// pipeline once per group. final is the Gibbs-looper final predicate
-// (paper App. A), applied to every tuple before aggregation.
-//
-// For a single ungrouped aggregate the per-repetition arithmetic is
-// identical, operation for operation, to MonteCarlo — deterministic
-// tuples accumulate first, then random tuples in plan order — so results
-// are bit-for-bit unchanged through this path.
-func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n int) (*GroupedRuns, error) {
+// MonteCarloGroupedParallel evaluates a grouped (and/or multi-aggregate)
+// query for n plain Monte Carlo repetitions — the original MCDB
+// semantics, where the i-th value of every stream is assigned to the i-th
+// repetition. The repetitions are replicate-sharded across up to workers
+// goroutines (see monteCarloGroupedWindow); results are bit-for-bit
+// identical for every worker count. final is the Gibbs-looper final
+// predicate (paper App. A), applied to every tuple before aggregation.
+// Ungrouped single-aggregate queries come back as one group with an
+// empty key.
+func MonteCarloGroupedParallel(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n, workers int) (*GroupedRuns, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
 	}
+	return monteCarloGroupedWindow(ws, agg, final, 0, n, workers)
+}
+
+// monteCarloGroupedWindow evaluates the replicate window [lo, hi) of the
+// prototype workspace's run — the one Monte Carlo driver behind fixed-N
+// and adaptive execution. The window is split into up to workers
+// contiguous shards; every shard, the single one included, runs in a
+// private exec.ShardWorkspace whose Instantiate window covers exactly its
+// replicates, re-runs the (deterministic-prefix-cached) plan, discovers
+// the identical group partition, and evaluates its replicates in one
+// window-major pass. Because stream element i is a pure function of
+// (seed, i), the merged output is replicates lo..hi-1 of the sequential
+// run for every shard layout. The prototype workspace is never run; it
+// only donates its catalog, master stream and run settings.
+func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, lo, hi, workers int) (*GroupedRuns, error) {
+	if hi <= lo {
+		return nil, fmt.Errorf("gibbs: empty replicate window [%d, %d)", lo, hi)
+	}
+	windows := exec.Shards(hi-lo, workers)
+	parts := make([]*GroupedRuns, len(windows))
+	errs := make([]error, len(windows))
+	run := func(i int) {
+		// A panic on a worker goroutine would kill the whole process
+		// regardless of recovery installed by the caller; contain it
+		// here so one bad query surfaces as an error instead.
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("gibbs: shard %d panicked: %v", i, r)
+			}
+		}()
+		sub := exec.ShardWorkspace(ws, lo+windows[i][0], lo+windows[i][1])
+		if err := sub.Cancelled(); err != nil {
+			errs[i] = err
+			return
+		}
+		parts[i], errs[i] = evalShard(sub, agg, final, windows[i][1]-windows[i][0])
+	}
+	if len(windows) == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := range windows {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				run(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return mergeGroupedRuns(parts)
+}
+
+// evalShard runs the plan once in a shard workspace sized to its n
+// replicates and evaluates them in a single window-major pass: the plan
+// below agg runs once, its tuples are partitioned by their deterministic
+// group key once, and AggEval.EvalWindow produces every (group, aggregate,
+// replicate) value, plus the HAVING mask when the query has one.
+func evalShard(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n int) (*GroupedRuns, error) {
 	// Aggregate passes its child's stream through; OpenEval pulls it one
 	// batch at a time and partitions tuples by group key as they arrive.
 	ev, err := agg.OpenEval(ws, final)
@@ -105,119 +117,16 @@ func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr,
 			out.Samples[g][a] = make([]float64, n)
 		}
 	}
-	vec := make([][]float64, nG)
-	for g := range vec {
-		vec[g] = make([]float64, nA)
-	}
-	var include []bool
 	if agg.Having != nil {
-		include = make([]bool, nG)
 		out.Include = make([][]bool, nG)
 		for g := range out.Include {
 			out.Include[g] = make([]bool, n)
 		}
 	}
-	// Window-major fast path (DESIGN.md §13): when the assignment is the
-	// contiguous identity layout (always true for sharded workers, and for
-	// sequential runs whose window covers all n replicates), evaluate every
-	// version of each tuple in one kernel pass. Bit-identical to the
-	// version-major loop below; HAVING stays version-major (per-version
-	// inclusion), and any invalid layout falls through to it.
-	if agg.Having == nil {
-		ok, err := ev.EvalWindow(ws, n, out.Samples)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return out, nil
-		}
-	}
-	//mcdbr:hotpath
-	for v := 0; v < n; {
-		if err := ws.Cancelled(); err != nil {
-			return nil, err
-		}
-		if err := ev.EvalVersion(bundle.Bind(ws.Seeds, v), vec, include); err != nil {
-			// A workspace window smaller than n leaves some assigned
-			// positions unmaterialized; run a §9 replenishing pass (which
-			// covers currently-assigned positions) and retry the version,
-			// exactly like the looper's recomputeStates.
-			var nm *bundle.ErrNotMaterialized
-			if !errors.As(err, &nm) {
-				return nil, err
-			}
-			ws.BeginReplenish()
-			if ev, err = agg.OpenEval(ws, final); err != nil {
-				return nil, err
-			}
-			if ev.NumGroups() != nG {
-				return nil, fmt.Errorf("gibbs: replenishing run discovered %d groups, previously %d; plan is not deterministic", ev.NumGroups(), nG)
-			}
-			for g := 0; g < nG; g++ {
-				if !ev.Key(g).Equal(out.Keys[g]) {
-					return nil, fmt.Errorf("gibbs: replenishing run changed group %d key (%s vs %s); plan is not deterministic", g, ev.Key(g), out.Keys[g])
-				}
-			}
-			continue
-		}
-		for g := 0; g < nG; g++ {
-			for a := 0; a < nA; a++ {
-				out.Samples[g][a][v] = vec[g][a]
-			}
-			if include != nil {
-				out.Include[g][v] = include[g]
-			}
-		}
-		v++
+	if _, err := ev.EvalWindow(ws, n, out.Samples, out.Include); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// MonteCarloGroupedParallel is MonteCarloGrouped with the n repetitions
-// replicate-sharded across up to workers goroutines, exactly like
-// MonteCarloParallel: every shard re-runs the (deterministic-prefix-
-// cached) plan in a private workspace, discovers the identical group
-// partition, and evaluates only its replicate window; shard outputs are
-// merged in replicate order, so results are bit-for-bit identical for
-// every worker count.
-func MonteCarloGroupedParallel(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n, workers int) (*GroupedRuns, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
-	}
-	if workers <= 1 || n < 2 {
-		return MonteCarloGrouped(ws, agg, final, n)
-	}
-	windows := exec.Shards(n, workers)
-	parts := make([]*GroupedRuns, len(windows))
-	errs := make([]error, len(windows))
-	var wg sync.WaitGroup
-	//mcdbr:hotpath
-	for i, w := range windows {
-		sh := exec.Shard{Index: i, Lo: w[0], Hi: w[1], WS: exec.ShardWorkspace(ws, w[0], w[1])}
-		wg.Add(1)
-		go func(i int, sh exec.Shard) {
-			defer wg.Done()
-			// Contain worker panics (fatal to the process regardless of
-			// recovery installed by the caller).
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("gibbs: grouped shard %d panicked: %v", sh.Index, r)
-				}
-			}()
-			if err := sh.WS.Cancelled(); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i], errs[i] = MonteCarloGrouped(sh.WS, agg, final, sh.Len())
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergeGroupedRuns(parts)
 }
 
 // mergeGroupedRuns concatenates per-shard grouped runs in replicate
@@ -226,6 +135,9 @@ func MonteCarloGroupedParallel(ws *exec.Workspace, agg *exec.Aggregate, final ex
 // order; a mismatch means the plan is not deterministic and is an error.
 func mergeGroupedRuns(parts []*GroupedRuns) (*GroupedRuns, error) {
 	first := parts[0]
+	if len(parts) == 1 {
+		return first, nil
+	}
 	out := &GroupedRuns{Keys: first.Keys, Samples: make([][][]float64, len(first.Keys))}
 	if first.Include != nil {
 		out.Include = make([][]bool, len(first.Keys))

@@ -11,9 +11,10 @@
 // against is the silent one — a future operator wires a new hot loop
 // straight to the interpreter and never even asks for a kernel, and
 // every query through it quietly loses the batched path. Interpreter-
-// only sites that are deliberate (e.g. HAVING, which stays
-// version-major by design) are suppressed with
-// `//mcdbr:kernelfallback ok(reason)`.
+// only sites that are deliberate are suppressed with
+// `//mcdbr:kernelfallback ok(reason)`. (AggEval.EvalWindow needs no
+// suppression: it lowers kernels and runs the interpreter only on the
+// tuple lanes a kernel cannot take.)
 package kernelfallback
 
 import (

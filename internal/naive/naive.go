@@ -1,24 +1,17 @@
 // Package naive implements the original-MCDB baseline used throughout the
-// paper's comparisons (§1, Appendix D): plain Monte Carlo over tuple
-// bundles, with quantile estimation by order statistics, plus the analytic
-// sample-size formulas the paper's introduction quotes for why naive Monte
-// Carlo fails in the tail.
+// paper's comparisons (§1, Appendix D): quantile and tail-probability
+// estimation from plain Monte Carlo samples by order statistics, plus the
+// analytic sample-size formulas the paper's introduction quotes for why
+// naive Monte Carlo fails in the tail. The samples themselves come from
+// the engine's one Monte Carlo driver, gibbs.MonteCarloGroupedParallel.
 package naive
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/exec"
-	"repro/internal/gibbs"
 	"repro/internal/stats"
 )
-
-// MonteCarlo runs n Monte Carlo repetitions of the query and returns the n
-// query-result samples (original MCDB semantics).
-func MonteCarlo(ws *exec.Workspace, plan exec.Node, q gibbs.Query, n int) ([]float64, error) {
-	return gibbs.MonteCarlo(ws, plan, q, n)
-}
 
 // EstimateQuantile estimates the q-quantile from Monte Carlo samples by the
 // order statistic X_(ceil(q n)) — the standard technique the paper cites
@@ -80,28 +73,4 @@ func RepsForQuantile(p, mu, sigma, delta, conf float64) float64 {
 	f := math.Exp(-zq*zq/2) / (sigma * math.Sqrt(2*math.Pi))
 	r := z * math.Sqrt(p*(1-p)) / (f * delta)
 	return r * r
-}
-
-// RepsToFirstHit runs Monte Carlo in batches until a sample reaches the
-// cutoff or maxReps is exhausted, and returns the number of repetitions
-// consumed. hit reports whether the cutoff was ever reached. The E3
-// benchmark uses it to measure the naive cost of a single tail observation.
-func RepsToFirstHit(mk func(batch int) (*exec.Workspace, exec.Node), q gibbs.Query, cutoff float64, batch, maxReps int) (reps int, hit bool, err error) {
-	if batch < 1 {
-		return 0, false, fmt.Errorf("naive: batch must be >= 1, got %d", batch)
-	}
-	for reps < maxReps {
-		ws, plan := mk(reps)
-		samples, err := MonteCarlo(ws, plan, q, batch)
-		if err != nil {
-			return reps, false, err
-		}
-		for i, s := range samples {
-			if s >= cutoff {
-				return reps + i + 1, true, nil
-			}
-		}
-		reps += batch
-	}
-	return reps, false, nil
 }

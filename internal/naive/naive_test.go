@@ -38,14 +38,26 @@ func lossSetup(t testing.TB, seed uint64, meansVals []float64, window int) (*exe
 	return ws, &exec.Instantiate{Child: sd}
 }
 
-func sumQ() gibbs.Query {
-	return gibbs.Query{Agg: exec.AggSpec{Kind: exec.AggSum, Expr: expr.C("val")}}
+// monteCarlo draws n plain Monte Carlo samples of SUM(val) through the
+// engine's grouped driver (one group, one aggregate).
+func monteCarlo(t testing.TB, ws *exec.Workspace, plan exec.Node, n int) ([]float64, error) {
+	t.Helper()
+	agg, err := exec.NewAggregate(plan, nil, nil,
+		[]exec.AggSpec{{Kind: exec.AggSum, Expr: expr.C("val"), Name: "s"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := gibbs.MonteCarloGroupedParallel(ws, agg, nil, n, 1)
+	if err != nil {
+		return nil, err
+	}
+	return gr.Samples[0][0], nil
 }
 
 func TestMonteCarloMatchesAnalyticDistribution(t *testing.T) {
 	// Sum of 5 N(i,1): N(15, 5).
 	ws, plan := lossSetup(t, 1, []float64{1, 2, 3, 4, 5}, 4096)
-	samples, err := MonteCarlo(ws, plan, sumQ(), 4000)
+	samples, err := monteCarlo(t, ws, plan, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +83,7 @@ func TestMonteCarloRepetitionsAreIndependentStreams(t *testing.T) {
 	// Consecutive repetitions use consecutive stream elements; correlation
 	// across reps should be ~0.
 	ws, plan := lossSetup(t, 2, []float64{3, 4}, 2048)
-	samples, err := MonteCarlo(ws, plan, sumQ(), 2000)
+	samples, err := monteCarlo(t, ws, plan, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +104,10 @@ func TestMonteCarloRepetitionsAreIndependentStreams(t *testing.T) {
 }
 
 func TestMonteCarloWindowSmallerThanN(t *testing.T) {
-	// The engine must transparently replenish when the window cannot cover
-	// all repetitions up front.
+	// A workspace window that cannot cover all repetitions up front must
+	// not limit the run: the driver sizes its shard windows itself.
 	ws, plan := lossSetup(t, 3, []float64{3}, 64)
-	samples, err := MonteCarlo(ws, plan, sumQ(), 300)
+	samples, err := monteCarlo(t, ws, plan, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +119,7 @@ func TestMonteCarloWindowSmallerThanN(t *testing.T) {
 
 func TestMonteCarloValidation(t *testing.T) {
 	ws, plan := lossSetup(t, 4, []float64{3}, 64)
-	if _, err := MonteCarlo(ws, plan, sumQ(), 0); err == nil {
+	if _, err := monteCarlo(t, ws, plan, 0); err == nil {
 		t.Fatal("n=0 must error")
 	}
 }
@@ -166,7 +178,7 @@ func TestPaperIntroNumbers(t *testing.T) {
 
 func TestHitRateMatchesAnalyticTail(t *testing.T) {
 	ws, plan := lossSetup(t, 5, []float64{1, 2, 3, 4, 5}, 8192)
-	samples, err := MonteCarlo(ws, plan, sumQ(), 8000)
+	samples, err := monteCarlo(t, ws, plan, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,33 +186,5 @@ func TestHitRateMatchesAnalyticTail(t *testing.T) {
 	hr := HitRate(samples, cutoff)
 	if math.Abs(hr-0.05) > 0.012 {
 		t.Fatalf("hit rate = %g, want ~0.05", hr)
-	}
-}
-
-func TestRepsToFirstHit(t *testing.T) {
-	mk := func(off int) (*exec.Workspace, exec.Node) {
-		ws, plan := lossSetup(t, uint64(100+off), []float64{3, 4, 5}, 512)
-		return ws, plan
-	}
-	// Cutoff at the ~0.9 quantile of N(12, 3): hits arrive within ~10 reps
-	// on average.
-	cutoff := stats.NormalQuantile(0.9, 12, math.Sqrt(3))
-	reps, hit, err := RepsToFirstHit(mk, sumQ(), cutoff, 100, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("expected a hit")
-	}
-	if reps < 1 || reps > 1000 {
-		t.Fatalf("reps = %d", reps)
-	}
-	// Unreachable cutoff exhausts the budget.
-	reps, hit, err = RepsToFirstHit(mk, sumQ(), 1e12, 100, 300)
-	if err != nil || hit || reps != 300 {
-		t.Fatalf("unreachable: reps=%d hit=%v err=%v", reps, hit, err)
-	}
-	if _, _, err := RepsToFirstHit(mk, sumQ(), 0, 0, 10); err == nil {
-		t.Fatal("batch=0 must error")
 	}
 }

@@ -274,18 +274,17 @@ type ProgressEvent struct {
 
 // QueryResponse is the body of a successful POST /query. Grouped carries
 // the ordered multi-column result of GROUP BY and multi-aggregate
-// queries; GroupDists/GroupTails remain the legacy single-aggregate map
-// views.
+// queries; GroupedTails carries the per-group tails of a GROUP BY ... DOMAIN
+// query, keyed by the comma-joined group key.
 type QueryResponse struct {
-	Kind       string                  `json:"kind"`
-	Scalar     *float64                `json:"scalar,omitempty"`
-	Table      *TableSummary           `json:"table,omitempty"`
-	Dist       *DistSummary            `json:"dist,omitempty"`
-	Tail       *TailSummary            `json:"tail,omitempty"`
-	Grouped    *GroupedSummary         `json:"grouped,omitempty"`
-	GroupDists map[string]*DistSummary `json:"group_dists,omitempty"`
-	GroupTails map[string]*TailSummary `json:"group_tails,omitempty"`
-	Adaptive   *AdaptiveSummary        `json:"adaptive,omitempty"`
+	Kind         string                  `json:"kind"`
+	Scalar       *float64                `json:"scalar,omitempty"`
+	Table        *TableSummary           `json:"table,omitempty"`
+	Dist         *DistSummary            `json:"dist,omitempty"`
+	Tail         *TailSummary            `json:"tail,omitempty"`
+	Grouped      *GroupedSummary         `json:"grouped,omitempty"`
+	GroupedTails map[string]*TailSummary `json:"group_tails,omitempty"`
+	Adaptive     *AdaptiveSummary        `json:"adaptive,omitempty"`
 	// Degraded marks a partial result: the query's deadline fired mid-run
 	// and Adaptive describes the estimate accumulated by then (still
 	// bit-identical to a fixed run of that count). See DESIGN.md §12.
@@ -671,16 +670,11 @@ func buildResponse(res *mcdbr.ExecResult) *QueryResponse {
 		resp.Tail = summarizeTail(res.Tail)
 	case mcdbr.ExecGroupedDistribution:
 		resp.Grouped = summarizeGrouped(res.Grouped)
-		if res.GroupDists != nil {
-			resp.GroupDists = make(map[string]*DistSummary, len(res.GroupDists))
-			for g, d := range res.GroupDists {
-				resp.GroupDists[g] = summarize(d)
-			}
-		}
 	case mcdbr.ExecGroupedTail:
-		resp.GroupTails = make(map[string]*TailSummary, len(res.GroupTails))
-		for g, t := range res.GroupTails {
-			resp.GroupTails[g] = summarizeTail(t)
+		groups := res.GroupedTail.Groups
+		resp.GroupedTails = make(map[string]*TailSummary, len(groups))
+		for i := range groups {
+			resp.GroupedTails[groups[i].KeyString()] = summarizeTail(groups[i].Tail)
 		}
 	case mcdbr.ExecExplained:
 		resp.Explain = res.Explain.String()

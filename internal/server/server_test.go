@@ -316,7 +316,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 // TestServerGroupedAndMultiAggregate: GROUP BY and multi-aggregate
 // SELECTs run through the prepared path (plan_cached on repeat) and ship
-// the ordered grouped JSON view plus the legacy map and CVaR fields.
+// the ordered grouped JSON view with CVaR fields (no legacy group_dists
+// map); grouped DOMAIN queries ship group_tails keyed by group.
 func TestServerGroupedAndMultiAggregate(t *testing.T) {
 	e := testEngine(t)
 	s := New(e, Options{MaxConcurrent: 2})
@@ -377,6 +378,28 @@ WITH RESULTDISTRIBUTION MONTECARLO(30)`
 	}
 	if out.Grouped == nil || out.Grouped.Groups[0].Dists[0].N != 12 {
 		t.Fatalf("override response = %s", body)
+	}
+	resp, body = postJSON(t, ts.URL+"/query", QueryRequest{SQL: `SELECT SUM(val) AS x FROM Losses GROUP BY cid
+WITH RESULTDISTRIBUTION MONTECARLO(12)`})
+	if resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte("group_dists")) {
+		t.Fatalf("single-aggregate grouped = %d: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/query", QueryRequest{SQL: `SELECT SUM(val) AS x FROM Losses WHERE cid <= 10001
+GROUP BY cid WITH RESULTDISTRIBUTION MONTECARLO(10) DOMAIN x >= QUANTILE(0.9)`, TotalSamples: 60})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("grouped tail = %d: %s", resp.StatusCode, body)
+	}
+	out = QueryResponse{}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Kind != "grouped_tail" || len(out.GroupedTails) != 2 {
+		t.Fatalf("grouped tail response = %s", body)
+	}
+	for _, key := range []string{"10000", "10001"} {
+		if tr := out.GroupedTails[key]; tr == nil || tr.N != 10 {
+			t.Fatalf("group_tails[%q] = %+v in %s", key, tr, body)
+		}
 	}
 
 	// Deterministic grouped aggregate over FTABLE-ish data: ExecTable JSON.

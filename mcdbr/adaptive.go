@@ -234,11 +234,7 @@ func (e *Engine) runAdaptiveSelect(c *compiled, s *sqlish.SelectStmt, rp runPara
 	}
 	report := adaptiveReport(c, res, norm)
 	if c.grouped() || len(c.agg.Aggs) > 1 {
-		out := &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd, Adaptive: report}
-		if len(c.agg.Aggs) == 1 {
-			out.GroupDists = gd.DistMap()
-		}
-		return out, nil
+		return &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd, Adaptive: report}, nil
 	}
 	d := gd.Groups[0].Dists[0]
 	if s != nil {

@@ -84,10 +84,6 @@ type ExecResult struct {
 	// GroupedTail holds the ordered per-group tails of an ExecGroupedTail
 	// result.
 	GroupedTail *GroupedTail
-	// GroupDists and GroupTails are the legacy map views, populated for
-	// single-aggregate grouped queries.
-	GroupDists map[string]*Distribution
-	GroupTails map[string]*TailResult
 	// Adaptive reports how an adaptive (UNTIL ERROR) or progressive run
 	// stopped: replicates used, rounds, and per-aggregate confidence
 	// intervals. nil for plain fixed-N execution.
@@ -567,7 +563,7 @@ func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailS
 				if err != nil {
 					return nil, err
 				}
-				return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, GroupTails: gt.TailMap(), Adaptive: report}, nil
+				return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, Adaptive: report}, nil
 			}
 			gq := c.gq
 			gq.LowerTail = opts.Lower
@@ -594,7 +590,7 @@ func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailS
 			if err != nil {
 				return nil, err
 			}
-			return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, GroupTails: gt.TailMap()}, nil
+			return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt}, nil
 		}
 		tr, err := e.runTail(rp.ctx, c, p, rp.n, opts, rp.seed, rp.maxBytes)
 		if err != nil {
@@ -611,11 +607,7 @@ func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailS
 		if err != nil {
 			return nil, err
 		}
-		res := &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd}
-		if !multi {
-			res.GroupDists = gd.DistMap()
-		}
-		return res, nil
+		return &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd}, nil
 	}
 	d, err := e.runMonteCarlo(rp.ctx, c, rp.n, rp.seed, rp.workers, rp.maxBytes)
 	if err != nil {

@@ -270,16 +270,17 @@ DOMAIN x >= QUANTILE(0.9)`, TailSampleOptions{TotalSamples: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != ExecGroupedTail || len(res.GroupTails) != 8 {
-		t.Fatalf("kind=%v groups=%d", res.Kind, len(res.GroupTails))
+	if res.Kind != ExecGroupedTail || len(res.GroupedTail.Groups) != 8 {
+		t.Fatalf("kind=%v", res.Kind)
 	}
-	for g, tr := range res.GroupTails {
+	for _, g := range res.GroupedTail.Groups {
+		tr := g.Tail
 		if len(tr.Samples) != 20 {
-			t.Fatalf("group %s samples = %d", g, len(tr.Samples))
+			t.Fatalf("group %s samples = %d", g.KeyString(), len(tr.Samples))
 		}
 		// Each group is a single N(m,1) customer; quantile ≈ m + 1.28.
 		if tr.QuantileEstimate < 2 || tr.QuantileEstimate > 11 {
-			t.Fatalf("group %s quantile = %g", g, tr.QuantileEstimate)
+			t.Fatalf("group %s quantile = %g", g.KeyString(), tr.QuantileEstimate)
 		}
 	}
 
@@ -291,8 +292,8 @@ WITH RESULTDISTRIBUTION MONTECARLO(200)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != ExecGroupedDistribution || len(res.GroupDists) != 8 {
-		t.Fatalf("kind=%v groups=%d", res.Kind, len(res.GroupDists))
+	if res.Kind != ExecGroupedDistribution || len(res.Grouped.Groups) != 8 {
+		t.Fatalf("kind=%v", res.Kind)
 	}
 }
 

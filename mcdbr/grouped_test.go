@@ -76,10 +76,11 @@ WITH RESULTDISTRIBUTION MONTECARLO(%d)`, g, n))
 				if err != nil {
 					t.Fatalf("group %s: %v", g, err)
 				}
-				grouped := res.GroupDists[g]
-				if grouped == nil {
-					t.Fatalf("group %s missing from %v", g, res.GroupDists)
+				gd := res.Grouped.Group(g)
+				if gd == nil {
+					t.Fatalf("group %s missing", g)
 				}
+				grouped := gd.Dists[0]
 				if len(grouped.Samples) != len(single.Dist.Samples) {
 					t.Fatalf("group %s: %d vs %d samples", g, len(grouped.Samples), len(single.Dist.Samples))
 				}
@@ -118,7 +119,12 @@ DOMAIN x >= QUANTILE(0.9)`, g), opts)
 		if err != nil {
 			t.Fatalf("group %s: %v", g, err)
 		}
-		gt := res.GroupTails[g]
+		var gt *TailResult
+		for i := range res.GroupedTail.Groups {
+			if res.GroupedTail.Groups[i].KeyString() == g {
+				gt = res.GroupedTail.Groups[i].Tail
+			}
+		}
 		if gt == nil {
 			t.Fatalf("group %s missing", g)
 		}

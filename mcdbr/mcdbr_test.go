@@ -283,9 +283,9 @@ func TestGroupedTailSample(t *testing.T) {
 	if len(out.Groups) != 2 {
 		t.Fatalf("groups = %d", len(out.Groups))
 	}
-	for g, res := range out.TailMap() {
-		if len(res.Samples) != 20 {
-			t.Fatalf("group %s samples = %d", g, len(res.Samples))
+	for _, g := range out.Groups {
+		if len(g.Tail.Samples) != 20 {
+			t.Fatalf("group %s samples = %d", g.KeyString(), len(g.Tail.Samples))
 		}
 	}
 }

@@ -161,16 +161,6 @@ func (gd *GroupedDistribution) Group(key string) *GroupDistribution {
 	return nil
 }
 
-// DistMap flattens a single-aggregate grouped result into the legacy
-// map[key]*Distribution shape.
-func (gd *GroupedDistribution) DistMap() map[string]*Distribution {
-	out := make(map[string]*Distribution, len(gd.Groups))
-	for i := range gd.Groups {
-		out[gd.Groups[i].KeyString()] = gd.Groups[i].Dists[0]
-	}
-	return out
-}
-
 // GroupedTail is the result of a GROUP BY ... DOMAIN query: one
 // conditioned tail distribution per group (paper App. A), produced by one
 // Gibbs run per group over a single shared compiled plan.
@@ -191,16 +181,6 @@ type GroupTail struct {
 
 // KeyString renders the group key (see GroupDistribution.KeyString).
 func (g *GroupTail) KeyString() string { return formatGroupKey(g.Key) }
-
-// TailMap flattens the grouped tails into the legacy
-// map[key]*TailResult shape.
-func (gt *GroupedTail) TailMap() map[string]*TailResult {
-	out := make(map[string]*TailResult, len(gt.Groups))
-	for i := range gt.Groups {
-		out[gt.Groups[i].KeyString()] = gt.Groups[i].Tail
-	}
-	return out
-}
 
 func formatGroupKey(key types.Row) string {
 	parts := make([]string, len(key))
@@ -289,11 +269,9 @@ func (e *Engine) runMonteCarlo(ctx context.Context, c *compiled, n int, seed uin
 // runGroupedRuns is the raw single-pass grouped execution shared by the
 // Distribution-building paths.
 func (e *Engine) runGroupedRuns(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*gibbs.GroupedRuns, error) {
-	// Plain Monte Carlo evaluates exactly positions [0, n) of every
-	// stream, so the window is n — not the engine window, which exists to
-	// amortize tail-sampling replenishment. (Shard workers already
-	// materialize exactly their replicate range; stream values depend only
-	// on (seed, position), so the window size never changes results.)
+	// The prototype workspace is never evaluated itself — every shard runs
+	// in a ShardWorkspace whose window is exactly its replicate range — so
+	// the window here only sizes the prototype's (unused) default.
 	ws := e.newRunWorkspace(seed, n, maxBytes)
 	ws.Ctx = ctx
 	return gibbs.MonteCarloGroupedParallel(ws, c.agg, c.gq.FinalPred, n, workers)
