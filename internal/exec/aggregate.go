@@ -130,7 +130,7 @@ func (s AggSpec) Contribution(compiled *expr.Compiled, row types.Row, sign float
 // Aggregate is the plan-root physical operator of an aggregation query.
 // Open passes its child's Gibbs-tuple stream through unchanged (aggregate
 // values vary per DB version, so they cannot be materialized as tuples);
-// consumers — gibbs.MonteCarloGroupedParallel for single-pass grouped
+// consumers — the gibbs Monte Carlo window driver for single-pass grouped
 // Monte Carlo (through OpenEval and EvalWindow), the Gibbs looper for
 // tail sampling — are the true sinks: they drain the stream once and
 // evaluate the aggregates per version. Aggregate never appears below

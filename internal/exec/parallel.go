@@ -4,9 +4,9 @@
 // independently, on any worker, in any order. This file holds the shard
 // layout: the N replicates are split into contiguous per-worker windows,
 // and each worker gets a private Workspace over the shared read-only
-// Catalog whose Instantiate window covers exactly its shard. The Monte
-// Carlo driver (gibbs.MonteCarloGroupedParallel) merges shard results back
-// in replicate order. Because stream values, seed allocation order,
+// Catalog whose Instantiate window covers exactly its shard. The gibbs
+// Monte Carlo window driver, which every round of the engine's round
+// driver runs, merges shard results back in replicate order. Because stream values, seed allocation order,
 // and per-replicate evaluation order are all independent of the shard
 // layout, the merged output is bit-for-bit identical to sequential
 // execution for every worker count.

@@ -171,11 +171,14 @@ func MonteCarloGroupedAdaptive(ws *exec.Workspace, agg *exec.Aggregate, final ex
 			if nG > 0 {
 				nA = len(part.Samples[0])
 			}
+			// One backing array each: a fixed-N run is a single round, and
+			// per-group rows would cost it 2*nG allocations.
+			welAll, cisAll := make([]stats.Welford, nG*nA), make([]CISnapshot, nG*nA)
 			wel = make([][]stats.Welford, nG)
 			cis = make([][]CISnapshot, nG)
 			for g := 0; g < nG; g++ {
-				wel[g] = make([]stats.Welford, nA)
-				cis[g] = make([]CISnapshot, nA)
+				wel[g] = welAll[g*nA : (g+1)*nA : (g+1)*nA]
+				cis[g] = cisAll[g*nA : (g+1)*nA : (g+1)*nA]
 			}
 		} else {
 			var merr error

@@ -38,7 +38,7 @@ func TestDeltaAggregateEqualsRecompute(t *testing.T) {
 		want := lp.base
 		b := bundle.Bind(ws.Seeds, v)
 		for _, tu := range lp.rand {
-			s, c, err := lp.contrib(tu, b)
+			s, c, err := lp.contrib(tu, b, lp.buf)
 			if err != nil {
 				t.Fatal(err)
 			}

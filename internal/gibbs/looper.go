@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/bundle"
@@ -33,7 +32,7 @@ import (
 type Query struct {
 	// Agg is the single aggregate the looper maintains incrementally.
 	// Tail sampling conditions on one aggregate; multi-aggregate select
-	// lists are a plain-Monte-Carlo feature (see MonteCarloGroupedParallel).
+	// lists are a plain-Monte-Carlo feature (see MonteCarloGroupedAdaptive).
 	Agg exec.AggSpec
 	// FinalPred is the final selection predicate applied to each tuple
 	// before inclusion in the aggregate — the place where predicates
@@ -80,12 +79,12 @@ type Config struct {
 	PQMemLimit int
 	// SpillDir receives priority-queue spill files ("" = os.TempDir()).
 	SpillDir string
-	// Parallelism is the number of worker goroutines the batch
-	// state-recomputation path may use; values <= 1 select the sequential
-	// path. Results are bit-for-bit identical for every value: versions are
-	// partitioned across workers, each version's aggregate is accumulated
-	// in the same tuple order as sequential execution, and replenishing
-	// runs are serialized between parallel rounds.
+	// Parallelism is the number of worker goroutines batch state
+	// recomputation may use; values <= 1 run it on the looper's own
+	// goroutine. Results are bit-for-bit identical for every value:
+	// versions are partitioned across workers, each version's aggregate is
+	// accumulated in plan tuple order, and replenishing runs execute
+	// between batch attempts, never inside a worker.
 	Parallelism int
 }
 
@@ -320,14 +319,10 @@ func (lp *looper) loadTuples(replenishing bool) error {
 	return nil
 }
 
-// contrib evaluates one tuple's aggregate contribution under a binding.
-func (lp *looper) contrib(tu *bundle.Tuple, b bundle.Binding) (float64, int64, error) {
-	return lp.contribBuf(tu, b, lp.buf)
-}
-
-// contribBuf is contrib with an explicit scratch row so concurrent workers
-// can evaluate versions without sharing lp.buf.
-func (lp *looper) contribBuf(tu *bundle.Tuple, b bundle.Binding, buf types.Row) (float64, int64, error) {
+// contrib evaluates one tuple's aggregate contribution under a binding;
+// buf is the caller's scratch row (lp.buf on the looper's goroutine, a
+// private one on each recompute worker).
+func (lp *looper) contrib(tu *bundle.Tuple, b bundle.Binding, buf types.Row) (float64, int64, error) {
 	row, present, err := tu.Eval(b, buf)
 	if err != nil {
 		return 0, 0, err
@@ -345,118 +340,46 @@ func (lp *looper) contribRow(row types.Row) (float64, int64, error) {
 	return lp.q.Agg.Contribution(lp.aggExpr, row, lp.sign)
 }
 
-// recomputeStates rebuilds every version's aggregate state from scratch,
-// replenishing if any assigned position is not materialized.
+// recomputeStates rebuilds every version's aggregate state from scratch.
+// Version states are independent given the materialized windows, so they
+// are split into contiguous shards across cfg.Parallelism workers (a
+// single shard runs inline), each with a private scratch row; every state
+// accumulates its tuples in plan order, so states are bit-for-bit
+// identical for every worker count. Workers only read shared looper
+// state. When any version needs a stream position outside the windows,
+// the batch is abandoned, one replenishing run executes, and the whole
+// batch restarts: replenishment keeps every assigned position and its
+// value, so the restart recomputes the same states.
 func (lp *looper) recomputeStates(nVersions int) error {
-	if lp.cfg.Parallelism > 1 && nVersions > 1 {
-		return lp.recomputeStatesParallel(nVersions)
-	}
-	lp.states = make([]exec.AggState, nVersions)
-	//mcdbr:hotpath
-	for v := 0; v < nVersions; {
-		if err := lp.ws.Cancelled(); err != nil {
-			return err
-		}
-		st := lp.base
-		b := bundle.Bind(lp.ws.Seeds, v)
-		retry := false
-		for _, tu := range lp.rand {
-			s, c, err := lp.contrib(tu, b)
-			if err != nil {
-				var nm *bundle.ErrNotMaterialized
-				if !errors.As(err, &nm) {
-					return err
-				}
-				if rerr := lp.replenish(); rerr != nil {
-					return rerr
-				}
-				retry = true
-				break
-			}
-			st.Add(s, c)
-		}
-		if retry {
-			continue // re-evaluate the same version against fresh windows
-		}
-		lp.states[v] = st
-		v++
-	}
-	return nil
-}
-
-// recomputeStatesParallel is the batch-recompute fast path: version states
-// are independent given materialized windows, so they are partitioned into
-// contiguous chunks across cfg.Parallelism workers, each with a private
-// scratch row. Per-version accumulation visits tuples in the same order as
-// the sequential path, so every state is bit-for-bit identical. Workers
-// only read shared looper state; when any version needs stream values
-// outside the materialized windows, the round is abandoned, one
-// replenishing run executes serially, and the whole batch retries (the
-// retry is cheap and replenishment with an unchanged MaxUsed is
-// idempotent, so convergence matches the sequential path).
-func (lp *looper) recomputeStatesParallel(nVersions int) error {
+	shards := exec.Shards(nVersions, lp.cfg.Parallelism)
 	//mcdbr:hotpath
 	for {
 		if err := lp.ws.Cancelled(); err != nil {
 			return err
 		}
 		states := make([]exec.AggState, nVersions)
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-			needRepl bool
-		)
-		for _, w := range exec.Shards(nVersions, lp.cfg.Parallelism) {
-			lo, hi := w[0], w[1]
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				// Contain worker panics (a panic here would be fatal to the
-				// process even if the caller installed a recover).
-				defer func() {
-					if r := recover(); r != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("gibbs: recompute worker panicked: %v", r)
-						}
-						mu.Unlock()
-					}
-				}()
-				buf := make(types.Row, len(lp.buf))
-				for v := lo; v < hi; v++ {
-					if err := lp.ws.Cancelled(); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					st := lp.base
-					b := bundle.Bind(lp.ws.Seeds, v)
-					for _, tu := range lp.rand {
-						s, c, err := lp.contribBuf(tu, b, buf)
-						if err != nil {
-							mu.Lock()
-							var nm *bundle.ErrNotMaterialized
-							if errors.As(err, &nm) {
-								needRepl = true
-							} else if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-						st.Add(s, c)
-					}
-					states[v] = st
+		errs := forShards(shards, func(_, lo, hi int) error {
+			buf := make(types.Row, len(lp.buf))
+			for v := lo; v < hi; v++ {
+				if err := lp.ws.Cancelled(); err != nil {
+					return err
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
+				st, err := lp.versionState(bundle.Bind(lp.ws.Seeds, v), buf)
+				if err != nil {
+					return err
+				}
+				states[v] = st
+			}
+			return nil
+		})
+		needRepl := false
+		for _, err := range errs {
+			var nm *bundle.ErrNotMaterialized
+			if errors.As(err, &nm) {
+				needRepl = true
+			} else if err != nil {
+				return err
+			}
 		}
 		if !needRepl {
 			lp.states = states
@@ -466,6 +389,22 @@ func (lp *looper) recomputeStatesParallel(nVersions int) error {
 			return err
 		}
 	}
+}
+
+// versionState accumulates one version's aggregate state over every
+// retained tuple under binding b, in plan order: the per-version body of
+// recomputeStates and the DisableDeltaAggregates ablation's full
+// recomputation per candidate.
+func (lp *looper) versionState(b bundle.Binding, buf types.Row) (exec.AggState, error) {
+	st := lp.base
+	for _, tu := range lp.rand {
+		s, c, err := lp.contrib(tu, b, buf)
+		if err != nil {
+			return st, err
+		}
+		st.Add(s, c)
+	}
+	return st, nil
 }
 
 func (lp *looper) replenish() error {
@@ -651,7 +590,7 @@ func (lp *looper) updateSeedVersion(seedID uint64, payloads []uint64, v int, cut
 		if lp.cfg.DisableDeltaAggregates {
 			// Ablation mode: full recomputation per candidate (§4.3's
 			// "obviously unacceptable" strategy, minus the plan re-run).
-			st, err = lp.fullState(cand)
+			st, err = lp.versionState(cand, lp.buf)
 			if err != nil {
 				return err
 			}
@@ -693,20 +632,6 @@ func nextSeedAfter(ids []uint64, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// fullState recomputes one version's aggregate over every tuple under the
-// given binding; used only by the DisableDeltaAggregates ablation.
-func (lp *looper) fullState(b bundle.Binding) (exec.AggState, error) {
-	st := lp.base
-	for _, tu := range lp.rand {
-		s, c, err := lp.contrib(tu, b)
-		if err != nil {
-			return st, err
-		}
-		st.Add(s, c)
-	}
-	return st, nil
-}
-
 // affectedContrib sums the contributions of the Gibbs tuples associated
 // with the seed being updated; only these can change when the seed's
 // assignment changes, so the aggregate delta needs no full recomputation.
@@ -714,7 +639,7 @@ func (lp *looper) affectedContrib(payloads []uint64, b bundle.Binding) (float64,
 	var s float64
 	var c int64
 	for _, p := range payloads {
-		ds, dc, err := lp.contrib(lp.rand[p], b)
+		ds, dc, err := lp.contrib(lp.rand[p], b, lp.buf)
 		if err != nil {
 			var nm *bundle.ErrNotMaterialized
 			if errors.As(err, &nm) {

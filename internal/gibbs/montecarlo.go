@@ -27,9 +27,11 @@ type GroupedRuns struct {
 // MonteCarloGroupedParallel evaluates a grouped (and/or multi-aggregate)
 // query for n plain Monte Carlo repetitions — the original MCDB
 // semantics, where the i-th value of every stream is assigned to the i-th
-// repetition. The repetitions are replicate-sharded across up to workers
-// goroutines (see monteCarloGroupedWindow); results are bit-for-bit
-// identical for every worker count. final is the Gibbs-looper final
+// repetition. It is the window [0, n) that the engine runs as the single
+// round of MonteCarloGroupedAdaptive for a fixed MONTECARLO(n). The
+// repetitions are replicate-sharded across up to workers goroutines (see
+// monteCarloGroupedWindow); results are bit-for-bit identical for every
+// worker count. final is the Gibbs-looper final
 // predicate (paper App. A), applied to every tuple before aggregation.
 // Ungrouped single-aggregate queries come back as one group with an
 // empty key.
@@ -57,42 +59,52 @@ func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr
 	}
 	windows := exec.Shards(hi-lo, workers)
 	parts := make([]*GroupedRuns, len(windows))
-	errs := make([]error, len(windows))
-	run := func(i int) {
-		// A panic on a worker goroutine would kill the whole process
-		// regardless of recovery installed by the caller; contain it
-		// here so one bad query surfaces as an error instead.
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("gibbs: shard %d panicked: %v", i, r)
-			}
-		}()
-		sub := exec.ShardWorkspace(ws, lo+windows[i][0], lo+windows[i][1])
+	errs := forShards(windows, func(i, wlo, whi int) error {
+		sub := exec.ShardWorkspace(ws, lo+wlo, lo+whi)
 		if err := sub.Cancelled(); err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		parts[i], errs[i] = evalShard(sub, agg, final, windows[i][1]-windows[i][0])
-	}
-	if len(windows) == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := range windows {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+		var err error
+		parts[i], err = evalShard(sub, agg, final, whi-wlo)
+		return err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return mergeGroupedRuns(parts)
+}
+
+// forShards runs fn on every shard [lo, hi) of windows — inline when there
+// is one, else one goroutine per shard — and returns the per-shard
+// errors. A panic on a worker goroutine would kill the whole process
+// regardless of recovery installed by the caller, so every shard, the
+// inline one included, contains its own and reports it as an error.
+func forShards(windows [][2]int, fn func(i, lo, hi int) error) []error {
+	errs := make([]error, len(windows))
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("gibbs: shard %d panicked: %v", i, r)
+			}
+		}()
+		errs[i] = fn(i, windows[i][0], windows[i][1])
+	}
+	if len(windows) == 1 {
+		run(0)
+		return errs
+	}
+	var wg sync.WaitGroup
+	for i := range windows {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	wg.Wait()
+	return errs
 }
 
 // evalShard runs the plan once in a shard workspace sized to its n

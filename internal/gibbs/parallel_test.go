@@ -71,48 +71,85 @@ func TestMonteCarloParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunParallelismDeterminism checks the looper's batch-recompute fast
-// path: a full tail-sampling run must produce identical quantile
-// trajectories and tail samples for every Parallelism value.
+// TestRunParallelismDeterminism checks the looper's batch recompute: a
+// full tail-sampling run must produce identical quantile trajectories,
+// tail samples and replenishment counts for every Parallelism value. The
+// small-window case (window = N) makes the run re-execute its plan to
+// refill sample windows many times (see TestRecomputeReplenishRestarts for
+// a replenishment forced inside the batch recompute itself).
 func TestRunParallelismDeterminism(t *testing.T) {
 	means := []float64{3, 4, 5, 2.5, 6}
 	base := Config{N: 32, M: 3, P: 0.05, L: 16, K: 1}
 
-	run := func(parallelism int) *Result {
+	run := func(parallelism, window int) *Result {
 		t.Helper()
 		cat := lossCatalog(means)
-		ws := exec.NewWorkspace(cat, prng.NewStream(11), 64)
+		ws := exec.NewWorkspace(cat, prng.NewStream(11), window)
 		plan := lossPlan(t, ws, 1)
 		cfg := base
 		cfg.Parallelism = parallelism
 		res, err := Run(ws, plan, sumQuery(), cfg)
 		if err != nil {
-			t.Fatalf("parallelism=%d: %v", parallelism, err)
+			t.Fatalf("parallelism=%d window=%d: %v", parallelism, window, err)
 		}
 		return res
 	}
 
-	want := run(1)
-	for _, parallelism := range []int{2, 3, runtime.NumCPU()} {
-		got := run(parallelism)
-		if got.Quantile != want.Quantile {
-			t.Errorf("parallelism=%d: quantile %v, want %v", parallelism, got.Quantile, want.Quantile)
+	for _, window := range []int{64, base.N} {
+		want := run(1, window)
+		if window == base.N && want.Replenishments == 0 {
+			t.Fatalf("window=%d: no replenishing run; the case does not exercise replenishment", window)
 		}
-		if len(got.Cutoffs) != len(want.Cutoffs) {
-			t.Fatalf("parallelism=%d: %d cutoffs, want %d", parallelism, len(got.Cutoffs), len(want.Cutoffs))
-		}
-		for i := range want.Cutoffs {
-			if got.Cutoffs[i] != want.Cutoffs[i] {
-				t.Errorf("parallelism=%d: cutoff %d = %v, want %v", parallelism, i, got.Cutoffs[i], want.Cutoffs[i])
+		for _, parallelism := range []int{2, 3, runtime.NumCPU()} {
+			got := run(parallelism, window)
+			if got.Quantile != want.Quantile {
+				t.Errorf("window=%d parallelism=%d: quantile %v, want %v", window, parallelism, got.Quantile, want.Quantile)
+			}
+			if got.Replenishments != want.Replenishments {
+				t.Errorf("window=%d parallelism=%d: %d replenishments, want %d", window, parallelism, got.Replenishments, want.Replenishments)
+			}
+			if !slices.Equal(got.Cutoffs, want.Cutoffs) {
+				t.Errorf("window=%d parallelism=%d: cutoffs %v, want %v", window, parallelism, got.Cutoffs, want.Cutoffs)
+			}
+			if !slices.Equal(got.TailSamples, want.TailSamples) {
+				t.Errorf("window=%d parallelism=%d: tail samples %v, want %v", window, parallelism, got.TailSamples, want.TailSamples)
 			}
 		}
-		if len(got.TailSamples) != len(want.TailSamples) {
-			t.Fatalf("parallelism=%d: %d tail samples, want %d", parallelism, len(got.TailSamples), len(want.TailSamples))
+	}
+}
+
+// TestRecomputeReplenishRestarts forces a replenishing run inside the
+// batch recompute: one seed's window is cut short, so the versions past
+// the cut fail mid-batch — on the single inline shard after the earlier
+// versions have completed, and on one worker while the others finish.
+// The batch must replenish exactly once, restart, and reproduce the
+// undisturbed states bit for bit at every parallelism.
+func TestRecomputeReplenishRestarts(t *testing.T) {
+	const n = 32
+	cat := lossCatalog([]float64{3, 4, 5, 2.5, 6})
+	for _, parallelism := range []int{1, 2, 3} {
+		ws := exec.NewWorkspace(cat, prng.NewStream(11), n)
+		lp := &looper{ws: ws, plan: lossPlan(t, ws, 1), q: sumQuery(), cfg: Config{N: n, M: 1, P: 0.1, L: n, Parallelism: parallelism}}
+		if err := lp.cfg.validate(); err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.TailSamples {
-			if got.TailSamples[i] != want.TailSamples[i] {
-				t.Errorf("parallelism=%d: tail sample %d = %v, want %v", parallelism, i, got.TailSamples[i], want.TailSamples[i])
-			}
+		if err := lp.init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := lp.recomputeStates(n); err != nil {
+			t.Fatal(err)
+		}
+		want := lp.states
+		seed := ws.Seeds.MustGet(ws.Seeds.IDs()[2])
+		seed.Window.Vals = seed.Window.Vals[:n-7]
+		if err := lp.recomputeStates(n); err != nil {
+			t.Fatalf("parallelism=%d: %v", parallelism, err)
+		}
+		if lp.totalRepl != 1 {
+			t.Errorf("parallelism=%d: %d replenishing runs, want 1", parallelism, lp.totalRepl)
+		}
+		if !slices.Equal(lp.states, want) {
+			t.Errorf("parallelism=%d: states after replenishment differ:\n got %v\nwant %v", parallelism, lp.states, want)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // estimation from plain Monte Carlo samples by order statistics, plus the
 // analytic sample-size formulas the paper's introduction quotes for why
 // naive Monte Carlo fails in the tail. The samples themselves come from
-// the engine's one Monte Carlo driver, gibbs.MonteCarloGroupedParallel.
+// the engine's one Monte Carlo driver, the round loop
+// gibbs.MonteCarloGroupedAdaptive, or from its fixed [0, n) window
+// gibbs.MonteCarloGroupedParallel.
 package naive
 
 import (

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,6 +83,53 @@ func TestServerShedsWith429(t *testing.T) {
 	}
 	if st := s.AdmitStats(); st.Shed != 1 {
 		t.Fatalf("shed counter = %+v", st)
+	}
+}
+
+// TestServerAdmitsBeforeParsing: streaming queries and EXPLAIN pass
+// admission like plain queries, before their SQL is parsed — with every
+// slot held and no queue, each is shed with 429 and Retry-After, even
+// when its SQL would not parse.
+func TestServerAdmitsBeforeParsing(t *testing.T) {
+	s := New(testEngine(t), Options{MaxConcurrent: 1, MaxQueue: -1, QueueWait: 3 * time.Second})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	release := occupy(t, s, ts.URL, 1)
+	defer release()
+
+	deep := `SELECT SUM(` + strings.Repeat("(", 400000) + "val" + strings.Repeat(")", 400000) + `) FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(10)`
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/query?stream=1", QueryRequest{SQL: mcSQL}},
+		{"/query?stream=1", QueryRequest{SQL: deep}},
+		{"/query?stream=1", QueryRequest{SQL: "SELECT SUM(val FROM Losses"}},
+		{"/explain", ExplainRequest{SQL: mcSQL}},
+		{"/explain", ExplainRequest{SQL: deep}},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status = %d: %s", c.path, resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "3" {
+			t.Fatalf("%s: Retry-After = %q", c.path, ra)
+		}
+	}
+	if st := s.AdmitStats(); st.Shed != 5 {
+		t.Fatalf("shed counter = %+v", st)
+	}
+}
+
+// TestServeHTTPTimeouts: the listener Serve runs bounds how long a client
+// may take to send headers and how long an idle connection stays open.
+func TestServeHTTPTimeouts(t *testing.T) {
+	hs := New(testEngine(t), Options{}).httpServer("127.0.0.1:0")
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
 	}
 }
 

@@ -7,11 +7,12 @@
 //	GET  /tables
 //	GET  /healthz
 //
-// Query execution sits behind an admission controller (internal/admit):
-// a bounded priority queue in front of a fixed pool of execution slots.
-// Requests beyond MaxQueue are shed immediately with 429 + Retry-After;
-// queued requests that outlive the queue-wait budget get 429 too; a
-// draining server answers 503. Admitted queries run under per-request
+// Query execution and EXPLAIN sit behind an admission controller
+// (internal/admit): a bounded priority queue in front of a fixed pool of
+// execution slots, passed before any SQL is parsed. Requests beyond
+// MaxQueue are shed immediately with 429 + Retry-After; queued requests
+// that outlive the queue-wait budget get 429 too; a draining server
+// answers 503. Admitted queries run under per-request
 // resource budgets — a wall-clock deadline, a sample budget, and a memory
 // budget — each capped by server options, and adaptive queries whose
 // deadline fires mid-run return their partial estimate with
@@ -119,7 +120,7 @@ func (s *Server) Serve(ctx context.Context, addr string, grace time.Duration) er
 	if grace <= 0 {
 		grace = 10 * time.Second
 	}
-	hs := &http.Server{Addr: addr, Handler: s.mux}
+	hs := s.httpServer(addr)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {
@@ -142,11 +143,29 @@ func (s *Server) Serve(ctx context.Context, addr string, grace time.Duration) er
 	}
 }
 
+// Connection timeouts of the listener Serve builds: a client gets
+// readHeaderTimeout to send its request headers (a slow-headers client
+// cannot pin a connection), and an idle keep-alive connection is closed
+// after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// httpServer is the listener configuration Serve runs.
+func (s *Server) httpServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // QueryRequest is the body of POST /query. SQL is required; the remaining
 // fields are per-run overrides (see mcdbr.RunOptions). Seed and Samples
-// need a preparable statement — a SELECT without GROUP BY — and are
-// rejected otherwise; Workers additionally applies to tail sampling in
-// GROUP BY queries via the tail options.
+// need a preparable statement — a SELECT — and are rejected otherwise;
+// Workers additionally sets the tail-sampling parallelism.
 //
 // POST /query?stream=1 streams the same request as Server-Sent Events:
 // one "progress" event per adaptive round (or per fixed-N round with
@@ -389,6 +408,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// handleQuery serves POST /query. Every request passes admission before
+// its SQL is parsed. The outcome goes out as one JSON body or, with
+// ?stream=1, as Server-Sent Events (see queryReply). The request context
+// is the run's cancellation: a disconnected client aborts the query at
+// its next unit of work.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !decodeBody(w, r, &req) {
@@ -407,9 +431,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	out := &queryReply{w: w}
 	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		s.handleQueryStream(w, r, req, class)
-		return
+		fl, ok := w.(http.Flusher)
+		if !ok {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("server: response writer does not support streaming"))
+			return
+		}
+		out.fl = fl
 	}
 	if err := s.admit.Acquire(r.Context(), class); err != nil {
 		s.admitError(w, err)
@@ -420,9 +449,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	res, cached, err := s.execute(ctx, req, nil)
+	var progress func(mcdbr.ProgressUpdate)
+	stmt, err := sqlish.Parse(req.SQL)
+	if err == nil {
+		progress, err = out.start(stmt)
+	}
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	res, cached, err := s.execute(ctx, req, stmt, progress)
+	if err != nil {
+		out.send("error", errStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 	resp := buildResponse(res)
@@ -431,64 +469,53 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.Degraded {
 		s.admit.NoteDegraded()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out.send("result", http.StatusOK, resp)
 }
 
-// handleQueryStream serves POST /query?stream=1 as Server-Sent Events:
-// progress events per adaptive round, then a final result event carrying
-// the exact QueryResponse of the non-streaming endpoint. The request
-// context is the run's cancellation: a disconnected client aborts the
-// query at its next unit of work.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req QueryRequest, class admit.Class) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("server: response writer does not support streaming"))
-		return
-	}
-	stmt, err := sqlish.Parse(req.SQL)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, isSelect := stmt.(*sqlish.SelectStmt); !isSelect {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: stream=1 needs a SELECT statement"))
-		return
-	}
-	if err := s.admit.Acquire(r.Context(), class); err != nil {
-		s.admitError(w, err)
-		return
-	}
-	defer s.admit.Release()
-	ctx, cancel := s.queryContext(r.Context(), req)
-	defer cancel()
+// queryReply writes one /query outcome: a single JSON body, or with
+// stream=1 (fl set) Server-Sent Events — headers before the run, one
+// "progress" event per adaptive round, then a "result" event carrying the
+// JSON form's exact QueryResponse, or an "error" event.
+type queryReply struct {
+	w    http.ResponseWriter
+	fl   http.Flusher
+	sent bool // SSE headers are out: the outcome travels as an event
+}
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	start := time.Now()
-	progress := func(u mcdbr.ProgressUpdate) {
-		writeSSE(w, fl, "progress", ProgressEvent{
+// start accepts the parsed statement before it runs and returns the run's
+// progress callback: nil for the JSON form, so a fixed-N run stays on the
+// one-round path. The SSE form streams SELECTs only and sends its headers
+// here.
+func (q *queryReply) start(stmt sqlish.Statement) (func(mcdbr.ProgressUpdate), error) {
+	if q.fl == nil {
+		return nil, nil
+	}
+	if _, ok := stmt.(*sqlish.SelectStmt); !ok {
+		return nil, fmt.Errorf("server: stream=1 needs a SELECT statement")
+	}
+	q.w.Header().Set("Content-Type", "text/event-stream")
+	q.w.Header().Set("Cache-Control", "no-cache")
+	q.w.WriteHeader(http.StatusOK)
+	q.fl.Flush()
+	q.sent = true
+	return func(u mcdbr.ProgressUpdate) {
+		writeSSE(q.w, q.fl, "progress", ProgressEvent{
 			Round:       u.Round,
 			SamplesUsed: u.SamplesUsed,
 			Converged:   u.Converged,
 			CIs:         summarizeCIs(u.CIs),
 		})
-	}
-	res, cached, err := s.execute(ctx, req, progress)
-	if err != nil {
-		// Headers are sent; the error travels as an event.
-		writeSSE(w, fl, "error", ErrorResponse{Error: err.Error()})
+	}, nil
+}
+
+// send writes the outcome: once SSE headers are out, as the named event;
+// otherwise as the JSON body with status.
+func (q *queryReply) send(event string, status int, v any) {
+	if q.sent {
+		writeSSE(q.w, q.fl, event, v)
 		return
 	}
-	resp := buildResponse(res)
-	resp.PlanCached = cached
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	if resp.Degraded {
-		s.admit.NoteDegraded()
-	}
-	writeSSE(w, fl, "result", resp)
+	writeJSON(q.w, status, v)
 }
 
 // writeSSE emits one Server-Sent Event with a JSON data payload.
@@ -501,25 +528,19 @@ func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
 	fl.Flush()
 }
 
-// execute routes a request: SELECT statements — GROUP BY and
-// multi-aggregate included, since ISSUE 5 made aggregation part of the
-// single compiled plan — go through Prepare (hitting the plan cache for
-// repeated statements) and run under the request context, so a
-// disconnected client aborts its query; everything else (CREATE TABLE,
-// EXPLAIN) runs through Exec. The statement kind is sniffed with one
-// parse up front so non-preparable statements neither inflate the
+// execute runs a parsed request: SELECT statements go through Prepare
+// (hitting the plan cache for repeated statements) and run under the
+// request context, so a disconnected client aborts its query; everything
+// else (CREATE TABLE, EXPLAIN) runs through Exec. The caller's parse
+// decides the route, so non-preparable statements neither inflate the
 // plan-cache miss counter nor get parsed twice on the routing decision.
-func (s *Server) execute(ctx context.Context, req QueryRequest, progress func(mcdbr.ProgressUpdate)) (*mcdbr.ExecResult, bool, error) {
+func (s *Server) execute(ctx context.Context, req QueryRequest, stmt sqlish.Statement, progress func(mcdbr.ProgressUpdate)) (*mcdbr.ExecResult, bool, error) {
 	tail := s.opts.Tail
 	if req.TotalSamples > 0 {
 		tail.TotalSamples = req.TotalSamples
 	}
 	if req.Workers > 0 {
 		tail.Parallelism = req.Workers
-	}
-	stmt, err := sqlish.Parse(req.SQL)
-	if err != nil {
-		return nil, false, err
 	}
 	if _, ok := stmt.(*sqlish.SelectStmt); ok {
 		pq, err := s.engine.Prepare(req.SQL)
@@ -707,6 +728,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	// EXPLAIN parses and plans, so it is admitted like a query.
+	if err := s.admit.Acquire(r.Context(), admit.Normal); err != nil {
+		s.admitError(w, err)
+		return
+	}
+	defer s.admit.Release()
 	x, err := s.engine.Explain(req.SQL)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

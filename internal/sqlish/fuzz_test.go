@@ -41,6 +41,9 @@ WITH RESULTDISTRIBUTION MONTECARLO(3) DOMAIN x >= QUANTILE(0.999)`,
 	`SELECT SUM(x) FROM t WITH RESULTDISTRIBUTION MONTECARLO(0)`,
 	`SELECT SUM(v) FROM t GROUP BY`,
 	`SELECT SUM(v) AS x FROM t HAVING x > 100`,
+	// Nesting at and just beyond maxNesting.
+	`SELECT SUM(` + strings.Repeat("(", maxNesting) + "v" + strings.Repeat(")", maxNesting) + `) FROM t`,
+	`SELECT COUNT(*) FROM t WHERE ` + strings.Repeat("NOT -(", maxNesting/2) + "v" + strings.Repeat(")", maxNesting/2),
 }
 
 // FuzzParse asserts the parser's crash-freedom contract: for arbitrary

@@ -153,9 +153,25 @@ func Parse(src string) (Statement, error) {
 	return s, nil
 }
 
+// maxNesting bounds expression nesting through "(", NOT and unary "-".
+// The parser recurses once per level, so an unbounded depth lets a few
+// hundred kilobytes of "(((..." cost seconds of CPU and a deep stack
+// before any admission or planning check sees the statement.
+const maxNesting = 1000
+
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int // current nesting of "(", NOT and unary "-"
+}
+
+// nest enters one nesting level; the caller leaves it with p.depth--.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return fmt.Errorf("sqlish: expression nested deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -618,7 +634,11 @@ func (p *parser) parseAnd() (expr.Expr, error) {
 
 func (p *parser) parseNot() (expr.Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseNot()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -712,7 +732,11 @@ func (p *parser) parseMul() (expr.Expr, error) {
 
 func (p *parser) parseUnary() (expr.Expr, error) {
 	if p.accept("-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -761,7 +785,11 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	case tokSymbol:
 		if t.text == "(" {
 			p.next()
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			inner, err := p.parseExpr()
+			p.depth--
 			if err != nil {
 				return nil, err
 			}

@@ -357,3 +357,32 @@ func TestParseAdaptiveMonteCarlo(t *testing.T) {
 		}
 	}
 }
+
+// TestParseNestingLimit: expression nesting through "(", NOT and unary "-"
+// is bounded, so a hostile statement fails fast with an error instead of
+// recursing once per level; nesting up to the bound still parses.
+func TestParseNestingLimit(t *testing.T) {
+	deep := func(open, close string, n int) string {
+		return "SELECT SUM(" + strings.Repeat(open, n) + "v" + strings.Repeat(close, n) + ") FROM t"
+	}
+	for _, ok := range []string{
+		deep("(", ")", maxNesting),
+		deep("- ", "", maxNesting),
+		"SELECT COUNT(*) FROM t WHERE " + strings.Repeat("NOT ", maxNesting) + "v > 1",
+	} {
+		if _, err := Parse(ok); err != nil {
+			t.Errorf("nesting at the bound rejected: %v", err)
+		}
+	}
+	for name, bad := range map[string]string{
+		"parens 400k": deep("(", ")", 400000),
+		"minus":       deep("- ", "", maxNesting+1),
+		"not":         "SELECT COUNT(*) FROM t WHERE " + strings.Repeat("NOT ", maxNesting+1) + "v > 1",
+		"mixed":       deep("NOT -(", ")", maxNesting/3+1),
+	} {
+		_, err := Parse(bad)
+		if err == nil || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s: err = %v, want the nesting error", name, err)
+		}
+	}
+}

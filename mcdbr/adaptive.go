@@ -1,26 +1,24 @@
 package mcdbr
 
-// Adaptive Monte Carlo at the public API layer: the engine-side drivers
-// behind MONTECARLO(UNTIL ERROR < eps AT conf%, MAX n) and the
-// RunOptions.TargetRelError override. Plain (non-DOMAIN) queries run
-// through the round-based driver in internal/gibbs, which executes
-// replicates in geometrically growing replicate-sharded windows and stops
-// once every (group, aggregate) confidence interval is relatively tighter
-// than the target; stopping after m replicates is bit-identical to a fixed
-// MONTECARLO(m) run at every worker count. DOMAIN tail queries instead
-// double the conditioned chain length per attempt until the expected-
-// shortfall interval meets the target — the final attempt is literally a
-// fixed-length tail run, so its samples match MONTECARLO(L) exactly.
+// Adaptive Monte Carlo at the public API layer: the stopping rule behind
+// MONTECARLO(UNTIL ERROR < eps AT conf%, MAX n) and the
+// RunOptions.TargetRelError override, the per-run parameters, and the
+// report and progress types. The two drivers (results.go) take the rule:
+// plain (non-DOMAIN) queries run through the round-based driver in
+// internal/gibbs, which executes replicates in geometrically growing
+// replicate-sharded windows and stops once every (group, aggregate)
+// confidence interval is relatively tighter than the target; stopping
+// after m replicates is bit-identical to a fixed MONTECARLO(m) run at
+// every worker count. DOMAIN tail queries instead double the conditioned
+// chain length per attempt until the expected-shortfall interval meets
+// the target — the final attempt is literally a fixed-length tail run, so
+// its samples match MONTECARLO(L) exactly.
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"repro/internal/gibbs"
 	"repro/internal/plan"
-	"repro/internal/sqlish"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -116,6 +114,12 @@ type runParams struct {
 	progress func(ProgressUpdate)
 }
 
+// defaultRun is the run with the engine's own seed, worker count and
+// memory budget: what Exec and the QueryBuilder entry points execute.
+func (e *Engine) defaultRun(n int) runParams {
+	return runParams{seed: e.seed, workers: e.parallelism, n: n, maxBytes: e.maxQueryBytes}
+}
+
 // stopRule resolves the effective stopping rule: the per-run override if
 // set, else the statement/builder rule compiled into the plan, else nil
 // (fixed-N execution).
@@ -182,188 +186,4 @@ func adaptiveReport(c *compiled, res *gibbs.AdaptiveResult, rule gibbs.StopRule)
 		Degraded:       res.Degraded,
 		CIs:            snapshotCIs(c.agg.AggColNames(), res.Runs.Keys, res.CIs),
 	}
-}
-
-// runAdaptiveRuns executes the round-based driver for a compiled plan in a
-// fresh per-run workspace (with cancellation attached) and returns the raw
-// result plus the normalized rule it ran under.
-func (e *Engine) runAdaptiveRuns(ctx context.Context, c *compiled, rule gibbs.StopRule, seed uint64, workers int, maxBytes int64, progress func(ProgressUpdate)) (*gibbs.AdaptiveResult, gibbs.StopRule, error) {
-	rule = rule.Normalized()
-	// The prototype workspace is never evaluated itself — every round
-	// window runs in a ShardWorkspace with its own base and window — so
-	// the window here only sizes the prototype's (unused) default.
-	ws := e.newRunWorkspace(seed, rule.FirstRound, maxBytes)
-	ws.Ctx = ctx
-	var gp func(gibbs.RoundUpdate)
-	if progress != nil {
-		aggCols := c.agg.AggColNames()
-		gp = func(u gibbs.RoundUpdate) {
-			progress(ProgressUpdate{
-				Round:       u.Round,
-				SamplesUsed: u.SamplesUsed,
-				Converged:   u.Converged,
-				CIs:         snapshotCIs(aggCols, u.Keys, u.CIs),
-			})
-		}
-	}
-	res, err := gibbs.MonteCarloGroupedAdaptive(ws, c.agg, c.gq.FinalPred, rule, workers, gp)
-	return res, rule, err
-}
-
-// runAdaptiveSelect executes a plain (non-DOMAIN) query through the round
-// driver and packages the result exactly like the fixed-N paths — same
-// ExecResult kinds, same Distribution contents for the replicates actually
-// run — plus the AdaptiveReport. With rule == nil (fixed-N progressive
-// streaming) the driver runs to exactly rp.n replicates with convergence
-// disabled, so the final result is bit-identical to the non-progressive
-// path.
-func (e *Engine) runAdaptiveSelect(c *compiled, s *sqlish.SelectStmt, rp runParams, rule *gibbs.StopRule) (*ExecResult, error) {
-	var r gibbs.StopRule
-	if rule != nil {
-		r = *rule
-	} else {
-		r.MaxSamples = rp.n
-	}
-	res, norm, err := e.runAdaptiveRuns(rp.ctx, c, r, rp.seed, rp.workers, rp.maxBytes, rp.progress)
-	if err != nil {
-		return nil, err
-	}
-	gd, err := buildGroupedDistribution(c, res.Runs, res.SamplesUsed)
-	if err != nil {
-		return nil, err
-	}
-	report := adaptiveReport(c, res, norm)
-	if c.grouped() || len(c.agg.Aggs) > 1 {
-		return &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd, Adaptive: report}, nil
-	}
-	d := gd.Groups[0].Dists[0]
-	if s != nil {
-		e.registerFTable(s, d)
-	}
-	return &ExecResult{Kind: ExecDistribution, Dist: d, Adaptive: report}, nil
-}
-
-// runTailAdaptive runs one conditioned Gibbs tail chain under an adaptive
-// stopping rule by doubling the chain length per attempt: L, 2L, 4L, ...
-// up to rule.MaxSamples, stopping once the expected-shortfall interval
-// (normal approximation over the conditioned samples, which the estimator
-// treats as equally weighted) is relatively tighter than the target. Each
-// attempt is a complete fixed-length run, so the returned TailResult is
-// bit-identical to MONTECARLO(L) DOMAIN execution at the final L. It
-// returns the tail, its final interval, the attempt count, and whether the
-// result is a deadline-degraded earlier attempt (rule.DegradeOnDeadline:
-// when a longer chain's deadline fires, the last completed attempt — still
-// a full fixed-length run — is returned instead of the error).
-func (e *Engine) runTailAdaptive(ctx context.Context, c *compiled, gq gibbs.Query, p float64, rule gibbs.StopRule, opts TailSampleOptions, seed uint64, maxBytes int64, group string, progress func(ProgressUpdate)) (*TailResult, AggregateCI, int, bool, error) {
-	rule = rule.Normalized()
-	L := rule.FirstRound
-	if L > rule.MaxSamples {
-		L = rule.MaxSamples
-	}
-	aggName := c.agg.AggColNames()[0]
-	var lastTR *TailResult
-	var lastCI AggregateCI
-	for attempt := 1; ; attempt++ {
-		tr, err := e.runTailWith(ctx, c, gq, p, L, opts, seed, maxBytes)
-		if err != nil {
-			if rule.DegradeOnDeadline && lastTR != nil && errors.Is(err, context.DeadlineExceeded) {
-				return lastTR, lastCI, attempt, true, nil
-			}
-			return nil, AggregateCI{}, attempt, false, err
-		}
-		var w stats.Welford
-		w.AddAll(tr.Samples)
-		ci := AggregateCI{
-			Group:     group,
-			Agg:       aggName,
-			N:         w.N(),
-			Mean:      w.Mean(),
-			HalfWidth: w.HalfWidth(rule.Confidence),
-			RelError:  w.RelHalfWidth(rule.Confidence),
-		}
-		ci.Converged = rule.TargetRelError > 0 && ci.RelError <= rule.TargetRelError
-		if ci.Converged {
-			ci.ConvergedAt = L
-		}
-		if progress != nil {
-			progress(ProgressUpdate{Round: attempt, SamplesUsed: L, Converged: ci.Converged, CIs: []AggregateCI{ci}})
-		}
-		if ci.Converged || L >= rule.MaxSamples {
-			return tr, ci, attempt, false, nil
-		}
-		lastTR, lastCI = tr, ci
-		L *= 2
-		if L > rule.MaxSamples {
-			L = rule.MaxSamples
-		}
-	}
-}
-
-// runGroupedTailAdaptive is the per-group form: groups are discovered from
-// one plan run (as in runGroupedTail), then every group's chain stops
-// independently — a low-variance group settles at a short chain while a
-// heavy-tailed one keeps doubling, which is where grouped tail queries
-// recover most of their adaptive savings.
-func (e *Engine) runGroupedTailAdaptive(ctx context.Context, c *compiled, p float64, rule gibbs.StopRule, opts TailSampleOptions, seed uint64, maxBytes int64, progress func(ProgressUpdate)) (*GroupedTail, *AdaptiveReport, error) {
-	rule = rule.Normalized()
-	dws := e.newRunWorkspace(seed, e.window, maxBytes)
-	dws.Ctx = ctx
-	keys, err := c.agg.StreamGroupKeys(dws)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &GroupedTail{
-		GroupCols: c.agg.GroupColNames(),
-		AggCol:    c.agg.AggColNames()[0],
-	}
-	report := &AdaptiveReport{
-		TargetRelError: rule.TargetRelError,
-		Confidence:     rule.Confidence,
-		MaxSamples:     rule.MaxSamples,
-		Converged:      true,
-	}
-	round := 0
-	gp := progress
-	if progress != nil {
-		// Renumber rounds globally across groups so the progressive stream
-		// stays monotone.
-		gp = func(u ProgressUpdate) {
-			round++
-			u.Round = round
-			progress(u)
-		}
-	}
-	for _, key := range keys {
-		gq := c.gq
-		gq.LowerTail = opts.Lower
-		gq.GroupBy = c.agg.GroupBy
-		gq.GroupKey = key
-		tr, ci, attempts, degraded, err := e.runTailAdaptive(ctx, c, gq, p, rule, opts, seed, maxBytes, formatGroupKey(key), gp)
-		if err != nil {
-			// Deadline degradation for grouped tails: if at least one group's
-			// chain completed, report those groups partially instead of
-			// failing the whole query.
-			if rule.DegradeOnDeadline && len(out.Groups) > 0 && errors.Is(err, context.DeadlineExceeded) {
-				report.Degraded = true
-				report.Converged = false
-				break
-			}
-			return nil, nil, fmt.Errorf("mcdbr: group %s: %w", formatGroupKey(key), err)
-		}
-		out.Groups = append(out.Groups, GroupTail{Key: key, Tail: tr})
-		report.SamplesUsed += len(tr.Samples)
-		report.Rounds += attempts
-		report.CIs = append(report.CIs, ci)
-		if !ci.Converged {
-			report.Converged = false
-		}
-		if degraded {
-			// The deadline already fired mid-chain; later groups would only
-			// burn their first attempt against an expired context.
-			report.Degraded = true
-			report.Converged = false
-			break
-		}
-	}
-	return out, report, nil
 }

@@ -3,6 +3,7 @@ package mcdbr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -235,6 +236,60 @@ DOMAIN totalLoss >= QUANTILE(0.9)`, TailSampleOptions{TotalSamples: 400})
 		if s != res.Tail.Samples[i] {
 			t.Fatalf("tail sample %d differs: fixed %v, adaptive %v", i, s, res.Tail.Samples[i])
 		}
+	}
+}
+
+// TestAdaptiveGroupedTailSQL is the grouped counterpart: every group's
+// chain stops on its own, and each group's tail is bit-identical to that
+// group in a fixed MONTECARLO(L) DOMAIN run at the group's own stopping L.
+func TestAdaptiveGroupedTailSQL(t *testing.T) {
+	const q = `SELECT SUM(l.val) AS x FROM losses l, grp grp
+WHERE l.cid = grp.cid GROUP BY grp.g
+WITH RESULTDISTRIBUTION MONTECARLO(%s)
+DOMAIN x >= QUANTILE(0.9)`
+	opts := TailSampleOptions{TotalSamples: 150}
+	e := groupedEngine(t, 8, 2, 0)
+	res, err := e.ExecWithOptions(fmt.Sprintf(q, "UNTIL ERROR < 0.01, MAX 256"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != ExecGroupedTail || res.Adaptive == nil || len(res.GroupedTail.Groups) != 2 {
+		t.Fatalf("kind = %v, adaptive = %v", res.Kind, res.Adaptive)
+	}
+	if len(res.Adaptive.CIs) != 2 {
+		t.Fatalf("CIs = %+v, want one per group", res.Adaptive.CIs)
+	}
+	used := 0
+	for i, g := range res.GroupedTail.Groups {
+		L := len(g.Tail.Samples)
+		used += L
+		if ci := res.Adaptive.CIs[i]; ci.Group != g.KeyString() || ci.N != int64(L) {
+			t.Fatalf("group %s: CI %+v for %d samples", g.KeyString(), ci, L)
+		}
+		fixed, err := e.ExecWithOptions(fmt.Sprintf(q, itoa(L)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fixed.GroupedTail.Groups[i]
+		if want.KeyString() != g.KeyString() || len(want.Tail.Samples) != L {
+			t.Fatalf("fixed MONTECARLO(%d): group %s with %d samples", L, want.KeyString(), len(want.Tail.Samples))
+		}
+		if want.Tail.QuantileEstimate != g.Tail.QuantileEstimate {
+			t.Fatalf("group %s: quantile %v, fixed %v", g.KeyString(), g.Tail.QuantileEstimate, want.Tail.QuantileEstimate)
+		}
+		for j, x := range want.Tail.Samples {
+			if g.Tail.Samples[j] != x {
+				t.Fatalf("group %s tail sample %d: adaptive %v, fixed %v", g.KeyString(), j, g.Tail.Samples[j], x)
+			}
+		}
+	}
+	// At this seed and target the groups settle at different lengths, so
+	// the per-group stops are really independent.
+	if a, b := res.GroupedTail.Groups[0].Tail, res.GroupedTail.Groups[1].Tail; len(a.Samples) == len(b.Samples) {
+		t.Fatalf("both groups stopped at L=%d", len(a.Samples))
+	}
+	if res.Adaptive.SamplesUsed != used {
+		t.Fatalf("report says %d samples, groups hold %d", res.Adaptive.SamplesUsed, used)
 	}
 }
 

@@ -151,12 +151,7 @@ func (e *Engine) ExecWithOptions(sql string, opts TailSampleOptions) (res *ExecR
 		if err != nil {
 			return nil, err
 		}
-		return e.runSelectCompiled(c, s, opts, runParams{
-			seed:     e.seed,
-			workers:  e.parallelism,
-			n:        s.MCReps,
-			maxBytes: e.maxQueryBytes,
-		})
+		return e.runSelectCompiled(c, s, opts, e.defaultRun(s.MCReps))
 	default:
 		return nil, fmt.Errorf("mcdbr: unsupported statement %T", stmt)
 	}
@@ -485,15 +480,8 @@ func (e *Engine) compileSelect(s *sqlish.SelectStmt) (*compiled, error) {
 	return qb.compile()
 }
 
-// domainTailProbability maps the DOMAIN clause to the looper's upper/lower
-// tail probability, validating the aggregate alias reference.
-func domainTailProbability(s *sqlish.SelectStmt) (float64, error) {
-	if alias := s.Items[0].Alias; alias != "" && !strings.EqualFold(s.Domain.Name, alias) {
-		return 0, fmt.Errorf("mcdbr: DOMAIN references %q but the aggregate is named %q", s.Domain.Name, alias)
-	}
-	return domainP(s.Domain), nil
-}
-
+// domainP maps the DOMAIN clause to the looper's upper/lower tail
+// probability.
 func domainP(d *sqlish.Domain) float64 {
 	if d.Lower {
 		return d.Quantile
@@ -508,113 +496,63 @@ func domainP(d *sqlish.Domain) float64 {
 // too, so an impossible statement fails at preparation instead of
 // caching a plan whose every Run errors.
 func validateSelect(c *compiled, s *sqlish.SelectStmt) error {
-	grouped := c.grouped()
-	multi := len(c.agg.Aggs) > 1
-	if s.FreqTable != "" && (grouped || multi) {
+	if s.FreqTable != "" && (c.grouped() || len(c.agg.Aggs) > 1) {
 		return fmt.Errorf("mcdbr: FREQUENCYTABLE needs a single ungrouped aggregate; the query has %d aggregates and %d grouping expressions", len(c.agg.Aggs), len(c.agg.GroupBy))
 	}
 	if s.Domain != nil {
-		if multi {
-			return fmt.Errorf("mcdbr: DOMAIN tail sampling conditions on a single aggregate; the query has %d", len(c.agg.Aggs))
-		}
-		if c.agg.Having != nil {
-			return fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
-		}
-		if _, err := domainTailProbability(s); err != nil {
+		if err := checkTail(c); err != nil {
 			return err
+		}
+		if alias := s.Items[0].Alias; alias != "" && !strings.EqualFold(s.Domain.Name, alias) {
+			return fmt.Errorf("mcdbr: DOMAIN references %q but the aggregate is named %q", s.Domain.Name, alias)
 		}
 	}
 	return nil
 }
 
-// runSelectCompiled dispatches an already-compiled WITH RESULTDISTRIBUTION
-// statement: plain Monte Carlo without DOMAIN (single-pass grouped when
-// the query has GROUP BY or several aggregates), tail sampling with it
-// (one conditioned Gibbs run per group when grouped). An adaptive stopping
-// rule — from the statement's UNTIL clause or a per-run override — routes
-// plain queries through the round-based driver and tail queries through
-// per-group chain doubling; a progress callback alone routes fixed-N plain
-// queries through the round driver too (progressive streaming, convergence
-// disabled). It is the shared execution path of Exec and
-// PreparedQuery.Run; the runParams knobs are per-run so prepared queries
-// can override them.
+// runSelectCompiled runs an already-compiled WITH RESULTDISTRIBUTION
+// statement through one of the two drivers — tail sampling with DOMAIN,
+// plain Monte Carlo without — and packages the result: a grouped or
+// multi-aggregate query keeps every group, any other query is the single
+// group's distribution or tail. An adaptive stopping rule, from the
+// statement's UNTIL clause or a per-run override, is handed to the driver;
+// without one the run is fixed-N. It is the shared execution path of Exec
+// and PreparedQuery.Run; the runParams knobs are per-run so prepared
+// queries can override them.
 func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailSampleOptions, rp runParams) (*ExecResult, error) {
 	if err := validateSelect(c, s); err != nil {
 		return nil, err
 	}
-	grouped := c.grouped()
-	multi := len(c.agg.Aggs) > 1
 	rule := rp.stopRule(c)
 	if rule != nil {
 		// Deadline degradation is an adaptive-only contract: fixed-N runs
-		// (rule == nil, including the progressive fixed-N streaming shape,
-		// which never sets rule) stay strict and error on deadline.
+		// (rule == nil, the progressive fixed-N shape included) stay
+		// strict and error on deadline.
 		rule.DegradeOnDeadline = rp.degrade
 	}
 	if s.Domain != nil {
-		p, err := domainTailProbability(s)
-		if err != nil {
-			return nil, err
-		}
 		opts.Lower = s.Domain.Lower
-		if rule != nil {
-			if grouped {
-				gt, report, err := e.runGroupedTailAdaptive(rp.ctx, c, p, *rule, opts, rp.seed, rp.maxBytes, rp.progress)
-				if err != nil {
-					return nil, err
-				}
-				return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, Adaptive: report}, nil
-			}
-			gq := c.gq
-			gq.LowerTail = opts.Lower
-			norm := rule.Normalized()
-			tr, ci, attempts, degraded, err := e.runTailAdaptive(rp.ctx, c, gq, p, norm, opts, rp.seed, rp.maxBytes, "", rp.progress)
-			if err != nil {
-				return nil, err
-			}
-			e.registerFTable(s, &tr.Distribution)
-			report := &AdaptiveReport{
-				TargetRelError: norm.TargetRelError,
-				Confidence:     norm.Confidence,
-				MaxSamples:     norm.MaxSamples,
-				SamplesUsed:    len(tr.Samples),
-				Rounds:         attempts,
-				Converged:      ci.Converged,
-				Degraded:       degraded,
-				CIs:            []AggregateCI{ci},
-			}
-			return &ExecResult{Kind: ExecTail, Tail: tr, Adaptive: report}, nil
-		}
-		if grouped {
-			gt, err := e.runGroupedTail(rp.ctx, c, p, rp.n, opts, rp.seed, rp.maxBytes)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt}, nil
-		}
-		tr, err := e.runTail(rp.ctx, c, p, rp.n, opts, rp.seed, rp.maxBytes)
+		gt, report, err := e.runTails(c, domainP(s.Domain), opts, rule, rp)
 		if err != nil {
 			return nil, err
 		}
+		if c.grouped() {
+			return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, Adaptive: report}, nil
+		}
+		tr := gt.Groups[0].Tail
 		e.registerFTable(s, &tr.Distribution)
-		return &ExecResult{Kind: ExecTail, Tail: tr}, nil
+		return &ExecResult{Kind: ExecTail, Tail: tr, Adaptive: report}, nil
 	}
-	if rule != nil || rp.progress != nil {
-		return e.runAdaptiveSelect(c, s, rp, rule)
-	}
-	if grouped || multi {
-		gd, err := e.runGroupedMonteCarlo(rp.ctx, c, rp.n, rp.seed, rp.workers, rp.maxBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd}, nil
-	}
-	d, err := e.runMonteCarlo(rp.ctx, c, rp.n, rp.seed, rp.workers, rp.maxBytes)
+	gd, report, err := e.runMC(c, rule, rp)
 	if err != nil {
 		return nil, err
 	}
+	if c.grouped() || len(c.agg.Aggs) > 1 {
+		return &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd, Adaptive: report}, nil
+	}
+	d := gd.Groups[0].Dists[0]
 	e.registerFTable(s, d)
-	return &ExecResult{Kind: ExecDistribution, Dist: d}, nil
+	return &ExecResult{Kind: ExecDistribution, Dist: d, Adaptive: report}, nil
 }
 
 // registerFTable is the explicit post-execution step that materializes a

@@ -352,3 +352,27 @@ func TestFTableRelation(t *testing.T) {
 		t.Fatalf("row = %v", tbl.Row(0))
 	}
 }
+
+// TestNonPositiveSampleCounts: a repetition or tail-sample count below one
+// is an error on every builder entry point. Both drivers run through
+// stopping rules whose zero fields select defaults, so without an
+// explicit check these would become default-sized runs instead.
+func TestNonPositiveSampleCounts(t *testing.T) {
+	e := lossEngine(t, 4, 1)
+	sum := func() *QueryBuilder { return e.Query().From("losses", "").SelectSum(expr.C("val")) }
+	byCid := func() *QueryBuilder { return sum().GroupBy(expr.C("cid")) }
+	for _, n := range []int{0, -1} {
+		if _, err := sum().MonteCarlo(n); err == nil || !strings.Contains(err.Error(), "need n >= 1") {
+			t.Errorf("MonteCarlo(%d): err = %v", n, err)
+		}
+		if _, err := byCid().MonteCarloGrouped(n); err == nil || !strings.Contains(err.Error(), "need n >= 1") {
+			t.Errorf("MonteCarloGrouped(%d): err = %v", n, err)
+		}
+		if _, err := sum().TailSample(0.1, n, TailSampleOptions{}); err == nil || !strings.Contains(err.Error(), "need l >= 1") {
+			t.Errorf("TailSample(l=%d): err = %v", n, err)
+		}
+		if _, err := byCid().TailSampleGrouped(0.1, n, TailSampleOptions{}); err == nil || !strings.Contains(err.Error(), "need l >= 1") {
+			t.Errorf("TailSampleGrouped(l=%d): err = %v", n, err)
+		}
+	}
+}

@@ -180,10 +180,6 @@ func (p *PreparedQuery) RunCtx(ctx context.Context, opts RunOptions) (res *ExecR
 	if opts.Samples > 0 {
 		n = opts.Samples
 	}
-	topts := opts.Tail
-	if topts.Parallelism == 0 {
-		topts.Parallelism = workers
-	}
 	maxBytes := opts.MaxBytes
 	switch {
 	case maxBytes == 0:
@@ -213,7 +209,7 @@ func (p *PreparedQuery) RunCtx(ctx context.Context, opts RunOptions) (res *ExecR
 			stop.MaxSamples = opts.MaxSamples
 		}
 	}
-	return p.e.runSelectCompiled(p.c, s, topts, runParams{
+	return p.e.runSelectCompiled(p.c, s, opts.Tail, runParams{
 		ctx:      ctx,
 		seed:     seed,
 		workers:  workers,

@@ -2,6 +2,7 @@ package mcdbr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -146,9 +147,9 @@ type GroupDistribution struct {
 	Inclusion float64
 }
 
-// KeyString renders the group key the way the legacy per-group maps are
-// keyed: the single value's string form, or comma-joined values for
-// multi-column keys.
+// KeyString renders the group key: the single value's string form, or
+// comma-joined values for multi-column keys (the server's group_tails
+// keys and AggregateCI.Group use the same form).
 func (g *GroupDistribution) KeyString() string { return formatGroupKey(g.Key) }
 
 // Group returns the group with the given KeyString, or nil.
@@ -205,7 +206,11 @@ func (q *QueryBuilder) MonteCarlo(n int) (d *Distribution, err error) {
 	if c.grouped() || len(c.agg.Aggs) > 1 {
 		return nil, fmt.Errorf("mcdbr: query has GROUP BY or multiple aggregates; use MonteCarloGrouped")
 	}
-	return q.e.runMonteCarlo(nil, c, n, q.e.seed, q.e.parallelism, q.e.maxQueryBytes)
+	gd, _, err := q.e.runMC(c, nil, q.e.defaultRun(n))
+	if err != nil {
+		return nil, err
+	}
+	return gd.Groups[0].Dists[0], nil
 }
 
 // MonteCarloGrouped runs a grouped and/or multi-aggregate query with n
@@ -219,7 +224,8 @@ func (q *QueryBuilder) MonteCarloGrouped(n int) (gd *GroupedDistribution, err er
 	if err != nil {
 		return nil, err
 	}
-	return q.e.runGroupedMonteCarlo(nil, c, n, q.e.seed, q.e.parallelism, q.e.maxQueryBytes)
+	gd, _, err = q.e.runMC(c, nil, q.e.defaultRun(n))
+	return gd, err
 }
 
 // MonteCarloAdaptive runs the query under the builder's Until stopping
@@ -238,60 +244,67 @@ func (q *QueryBuilder) MonteCarloAdaptive() (gd *GroupedDistribution, report *Ad
 	if c.stop == nil {
 		return nil, nil, fmt.Errorf("mcdbr: MonteCarloAdaptive needs a stopping rule; call Until first")
 	}
-	res, rule, err := q.e.runAdaptiveRuns(nil, c, stopRuleFromSpec(c.stop), q.e.seed, q.e.parallelism, q.e.maxQueryBytes, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if gd, err = buildGroupedDistribution(c, res.Runs, res.SamplesUsed); err != nil {
-		return nil, nil, err
-	}
-	return gd, adaptiveReport(c, res, rule), nil
+	rule := stopRuleFromSpec(c.stop)
+	return q.e.runMC(c, &rule, q.e.defaultRun(0))
 }
 
-// runMonteCarlo executes a compiled single-aggregate ungrouped plan for n
-// Monte Carlo repetitions through the grouped single-pass evaluator (one
-// group, one aggregate — the per-repetition arithmetic is bit-for-bit
-// the pre-ISSUE-5 path). It is the shared execution path of
-// QueryBuilder.MonteCarlo and PreparedQuery.Run; seed and workers are
-// per-run so prepared queries can override them.
-func (e *Engine) runMonteCarlo(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*Distribution, error) {
-	gr, err := e.runGroupedRuns(ctx, c, n, seed, workers, maxBytes)
-	if err != nil {
-		return nil, err
+// runMC is the one Monte Carlo driver: every plain (non-DOMAIN)
+// run goes through gibbs.MonteCarloGroupedAdaptive. A fixed
+// MONTECARLO(n) (rule == nil) is the single window [0, n) with no target,
+// exactly the window MonteCarloGroupedParallel runs; with rp.progress set
+// the same n replicates run in doubling rounds with convergence disabled,
+// so partial estimates stream and the result is unchanged. The report is
+// nil for plain fixed-N runs.
+func (e *Engine) runMC(c *compiled, rule *gibbs.StopRule, rp runParams) (*GroupedDistribution, *AdaptiveReport, error) {
+	var r gibbs.StopRule
+	switch {
+	case rule != nil:
+		r = *rule
+	case rp.n < 1:
+		// Normalized would turn n <= 0 into a default-sized run; the text
+		// is the one the window driver returns for it.
+		return nil, nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", rp.n)
+	case rp.progress != nil:
+		r.MaxSamples = rp.n
+	default:
+		r = gibbs.StopRule{FirstRound: rp.n, MaxSamples: rp.n}
 	}
-	samples := gr.Samples[0][0]
-	if err := stats.CheckFinite(samples); err != nil {
-		return nil, fmt.Errorf("mcdbr: Monte Carlo produced a non-finite query result (%w); check VG parameters and aggregate expressions", err)
-	}
-	return newDistribution(samples), nil
-}
-
-// runGroupedRuns is the raw single-pass grouped execution shared by the
-// Distribution-building paths.
-func (e *Engine) runGroupedRuns(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*gibbs.GroupedRuns, error) {
-	// The prototype workspace is never evaluated itself — every shard runs
-	// in a ShardWorkspace whose window is exactly its replicate range — so
+	r = r.Normalized()
+	// The prototype workspace is never evaluated itself — every round
+	// window runs in a ShardWorkspace with its own base and window — so
 	// the window here only sizes the prototype's (unused) default.
-	ws := e.newRunWorkspace(seed, n, maxBytes)
-	ws.Ctx = ctx
-	return gibbs.MonteCarloGroupedParallel(ws, c.agg, c.gq.FinalPred, n, workers)
-}
-
-// runGroupedMonteCarlo executes a compiled grouped/multi-aggregate plan
-// and builds the per-group result distributions. With a HAVING clause,
-// each group keeps only the repetitions in which the predicate held;
-// groups that never satisfy it are dropped.
-func (e *Engine) runGroupedMonteCarlo(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*GroupedDistribution, error) {
-	gr, err := e.runGroupedRuns(ctx, c, n, seed, workers, maxBytes)
-	if err != nil {
-		return nil, err
+	ws := e.newRunWorkspace(rp.seed, r.FirstRound, rp.maxBytes)
+	ws.Ctx = rp.ctx
+	var progress func(gibbs.RoundUpdate)
+	if rp.progress != nil {
+		aggCols := c.agg.AggColNames()
+		progress = func(u gibbs.RoundUpdate) {
+			rp.progress(ProgressUpdate{
+				Round:       u.Round,
+				SamplesUsed: u.SamplesUsed,
+				Converged:   u.Converged,
+				CIs:         snapshotCIs(aggCols, u.Keys, u.CIs),
+			})
+		}
 	}
-	return buildGroupedDistribution(c, gr, n)
+	res, err := gibbs.MonteCarloGroupedAdaptive(ws, c.agg, c.gq.FinalPred, r, rp.workers, progress)
+	if err != nil {
+		return nil, nil, err
+	}
+	gd, err := buildGroupedDistribution(c, res.Runs, res.SamplesUsed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rule == nil && rp.progress == nil {
+		return gd, nil, nil
+	}
+	return gd, adaptiveReport(c, res, r), nil
 }
 
 // buildGroupedDistribution turns raw grouped runs into the per-group
-// result distributions; n is the replicate count the runs hold (shared by
-// the fixed-N and adaptive paths, where n is the replicates actually run).
+// result distributions; n is the replicate count the runs hold. With a
+// HAVING clause, each group keeps only the repetitions in which the
+// predicate held; groups that never satisfy it are dropped.
 func buildGroupedDistribution(c *compiled, gr *gibbs.GroupedRuns, n int) (*GroupedDistribution, error) {
 	out := &GroupedDistribution{
 		GroupCols: c.agg.GroupColNames(),
@@ -328,8 +341,11 @@ func buildGroupedDistribution(c *compiled, gr *gibbs.GroupedRuns, n int) (*Group
 		}
 		for a := range samples {
 			if err := stats.CheckFinite(samples[a]); err != nil {
-				return nil, fmt.Errorf("mcdbr: group %s aggregate %s produced a non-finite query result (%w); check VG parameters and aggregate expressions",
-					formatGroupKey(gr.Keys[g]), c.agg.Aggs[a].Name, err)
+				what := "Monte Carlo"
+				if c.grouped() || len(c.agg.Aggs) > 1 {
+					what = fmt.Sprintf("group %s aggregate %s", formatGroupKey(gr.Keys[g]), c.agg.Aggs[a].Name)
+				}
+				return nil, fmt.Errorf("mcdbr: %s produced a non-finite query result (%w); check VG parameters and aggregate expressions", what, err)
 			}
 			gd.Dists[a] = newDistribution(samples[a])
 		}
@@ -377,7 +393,11 @@ func (q *QueryBuilder) TailSample(p float64, l int, opts TailSampleOptions) (tr 
 	if c.grouped() || len(c.agg.Aggs) > 1 {
 		return nil, fmt.Errorf("mcdbr: query has GROUP BY or multiple aggregates; use TailSampleGrouped")
 	}
-	return q.e.runTail(nil, c, p, l, opts, q.e.seed, q.e.maxQueryBytes)
+	gt, _, err := q.e.runTails(c, p, opts, nil, q.e.defaultRun(l))
+	if err != nil {
+		return nil, err
+	}
+	return gt.Groups[0].Tail, nil
 }
 
 // TailSampleGrouped runs per-group tail sampling for a GROUP BY query:
@@ -396,31 +416,146 @@ func (q *QueryBuilder) TailSampleGrouped(p float64, l int, opts TailSampleOption
 	if !c.grouped() {
 		return nil, fmt.Errorf("mcdbr: TailSampleGrouped needs GROUP BY; use TailSample")
 	}
-	return q.e.runGroupedTail(nil, c, p, l, opts, q.e.seed, q.e.maxQueryBytes)
+	gt, _, err = q.e.runTails(c, p, opts, nil, q.e.defaultRun(l))
+	return gt, err
 }
 
-// runTail executes a compiled plan's tail sampling in a fresh per-run
-// workspace; the shared execution path of QueryBuilder.TailSample and
-// PreparedQuery.Run. The looper query is copied, never mutated, so one
-// compiled plan can serve concurrent runs.
-func (e *Engine) runTail(ctx context.Context, c *compiled, p float64, l int, opts TailSampleOptions, seed uint64, maxBytes int64) (*TailResult, error) {
-	gq := c.gq
-	gq.LowerTail = opts.Lower
-	return e.runTailWith(ctx, c, gq, p, l, opts, seed, maxBytes)
-}
-
-// runTailWith is runTail with an explicit looper query — the per-group
-// conditioned runs of runGroupedTail pass a group-restricted copy.
-func (e *Engine) runTailWith(ctx context.Context, c *compiled, gq gibbs.Query, p float64, l int, opts TailSampleOptions, seed uint64, maxBytes int64) (*TailResult, error) {
+// checkTail rejects what DOMAIN tail sampling cannot condition on.
+func checkTail(c *compiled) error {
 	if len(c.agg.Aggs) > 1 {
-		return nil, fmt.Errorf("mcdbr: DOMAIN tail sampling conditions on a single aggregate; the query has %d", len(c.agg.Aggs))
+		return fmt.Errorf("mcdbr: DOMAIN tail sampling conditions on a single aggregate; the query has %d", len(c.agg.Aggs))
 	}
 	if c.agg.Having != nil {
-		return nil, fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
+		return fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
 	}
+	return nil
+}
+
+// runTails is the one tail-sampling driver: one conditioned Gibbs
+// chain per group (paper App. A runs GROUP BY over g groups as g
+// conditioned queries). An ungrouped query is the single empty-key group,
+// so groups are discovered from a plan run only when the query groups;
+// that run shares its deterministic prefix with the per-group chains
+// through the prefix cache. Each group's chain is restricted to its
+// tuples, exactly as if the query had a per-group selection predicate.
+//
+// Under an adaptive rule each chain doubles its length per attempt — L,
+// 2L, 4L, ... up to rule.MaxSamples — and stops once its expected-
+// shortfall interval (normal approximation over the conditioned samples)
+// meets the target, so a low-variance group settles at a short chain
+// while a heavy-tailed one keeps doubling. Every attempt is a complete
+// fixed-length run, so a group's result is bit-identical to
+// MONTECARLO(L) at its final L. A fixed MONTECARLO(rp.n) (rule == nil) is
+// the one-attempt case and carries no report.
+//
+// With rule.DegradeOnDeadline, a deadline that fires mid-chain keeps that
+// group's last completed attempt and stops; one that fires on a group's
+// first attempt drops that group, and errors only when no group is done.
+func (e *Engine) runTails(c *compiled, p float64, opts TailSampleOptions, rule *gibbs.StopRule, rp runParams) (*GroupedTail, *AdaptiveReport, error) {
+	if err := checkTail(c); err != nil {
+		return nil, nil, err
+	}
+	keys := []types.Row{{}}
+	if c.grouped() {
+		dws := e.newRunWorkspace(rp.seed, e.window, rp.maxBytes)
+		dws.Ctx = rp.ctx
+		var err error
+		if keys, err = c.agg.StreamGroupKeys(dws); err != nil {
+			return nil, nil, err
+		}
+	}
+	out := &GroupedTail{
+		GroupCols: c.agg.GroupColNames(),
+		AggCol:    c.agg.AggColNames()[0],
+	}
+	first, maxL := rp.n, rp.n
+	var report *AdaptiveReport
+	if rule != nil {
+		r := rule.Normalized()
+		rule = &r
+		first, maxL = min(r.FirstRound, r.MaxSamples), r.MaxSamples
+		report = &AdaptiveReport{
+			TargetRelError: r.TargetRelError,
+			Confidence:     r.Confidence,
+			MaxSamples:     r.MaxSamples,
+			Converged:      true,
+		}
+	}
+	gq := c.gq
+	gq.LowerTail = opts.Lower
+	gq.GroupBy = c.agg.GroupBy
+	round := 0
+	for _, key := range keys {
+		gq.GroupKey = key
+		var tr *TailResult
+		var ci AggregateCI
+		attempts, degraded := 0, false
+		for L := first; ; L = min(2*L, maxL) {
+			attempts++
+			next, err := e.tailAttempt(c, gq, p, L, opts, rp)
+			if err != nil {
+				if rule != nil && rule.DegradeOnDeadline && errors.Is(err, context.DeadlineExceeded) && (tr != nil || len(out.Groups) > 0) {
+					degraded = true
+					break
+				}
+				if c.grouped() {
+					err = fmt.Errorf("mcdbr: group %s: %w", formatGroupKey(key), err)
+				}
+				return nil, nil, err
+			}
+			tr = next
+			if rule == nil {
+				break
+			}
+			var w stats.Welford
+			w.AddAll(tr.Samples)
+			ci = AggregateCI{
+				Group:     formatGroupKey(key),
+				Agg:       out.AggCol,
+				N:         w.N(),
+				Mean:      w.Mean(),
+				HalfWidth: w.HalfWidth(rule.Confidence),
+				RelError:  w.RelHalfWidth(rule.Confidence),
+			}
+			ci.Converged = rule.TargetRelError > 0 && ci.RelError <= rule.TargetRelError
+			if ci.Converged {
+				ci.ConvergedAt = L
+			}
+			round++
+			if rp.progress != nil {
+				rp.progress(ProgressUpdate{Round: round, SamplesUsed: L, Converged: ci.Converged, CIs: []AggregateCI{ci}})
+			}
+			if ci.Converged || L >= maxL {
+				break
+			}
+		}
+		if tr != nil {
+			out.Groups = append(out.Groups, GroupTail{Key: key, Tail: tr})
+			if report != nil {
+				report.SamplesUsed += len(tr.Samples)
+				report.Rounds += attempts
+				report.CIs = append(report.CIs, ci)
+				report.Converged = report.Converged && ci.Converged
+			}
+		}
+		if degraded {
+			// Later groups would only burn their first attempt against an
+			// expired context.
+			report.Degraded = true
+			report.Converged = false
+			break
+		}
+	}
+	return out, report, nil
+}
+
+// tailAttempt is one fixed-length conditioned Gibbs run of l tail samples
+// in a fresh per-run workspace. gq is the caller's copy of the compiled
+// looper query, so one compiled plan can serve concurrent runs.
+func (e *Engine) tailAttempt(c *compiled, gq gibbs.Query, p float64, l int, opts TailSampleOptions, rp runParams) (*TailResult, error) {
 	parallelism := opts.Parallelism
 	if parallelism == 0 {
-		parallelism = e.parallelism
+		parallelism = rp.workers
 	}
 	cfg, err := tail.Configure(p, l, tail.Options{
 		TotalSamples:      opts.TotalSamples,
@@ -433,12 +568,8 @@ func (e *Engine) runTailWith(ctx context.Context, c *compiled, gq gibbs.Query, p
 	if err != nil {
 		return nil, err
 	}
-	window := e.window
-	if need := cfg.N + cfg.L; need > window {
-		window = need
-	}
-	ws := e.newRunWorkspace(seed, window, maxBytes)
-	ws.Ctx = ctx
+	ws := e.newRunWorkspace(rp.seed, max(e.window, cfg.N+cfg.L), rp.maxBytes)
+	ws.Ctx = rp.ctx
 	res, err := gibbs.Run(ws, c.agg.Child, gq, cfg)
 	if err != nil {
 		return nil, err
@@ -454,40 +585,6 @@ func (e *Engine) runTailWith(ctx context.Context, c *compiled, gq gibbs.Query, p
 		ExpectedShortfall: stats.ExpectedShortfall(res.TailSamples),
 		Diag:              res,
 	}, nil
-}
-
-// runGroupedTail runs one conditioned Gibbs chain per group of a compiled
-// GROUP BY query. Groups are discovered from a single plan run (shared
-// with the per-group runs through the deterministic-prefix cache); each
-// group's looper then executes in a fresh workspace restricted to the
-// group's tuples, exactly as if the query had been run with a per-group
-// selection predicate — samples are bit-identical to that formulation.
-func (e *Engine) runGroupedTail(ctx context.Context, c *compiled, p float64, l int, opts TailSampleOptions, seed uint64, maxBytes int64) (*GroupedTail, error) {
-	if c.agg.Having != nil {
-		return nil, fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
-	}
-	dws := e.newRunWorkspace(seed, e.window, maxBytes)
-	dws.Ctx = ctx
-	keys, err := c.agg.StreamGroupKeys(dws)
-	if err != nil {
-		return nil, err
-	}
-	out := &GroupedTail{
-		GroupCols: c.agg.GroupColNames(),
-		AggCol:    c.agg.AggColNames()[0],
-	}
-	for _, key := range keys {
-		gq := c.gq
-		gq.LowerTail = opts.Lower
-		gq.GroupBy = c.agg.GroupBy
-		gq.GroupKey = key
-		tr, err := e.runTailWith(ctx, c, gq, p, l, opts, seed, maxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("mcdbr: group %s: %w", formatGroupKey(key), err)
-		}
-		out.Groups = append(out.Groups, GroupTail{Key: key, Tail: tr})
-	}
-	return out, nil
 }
 
 // Histogram bins the samples into nBins equal-width buckets; a convenience
